@@ -54,7 +54,7 @@ func main() {
 	useCTL := flag.Bool("use-ctl", false, "verify dots constraints with the CTL/CFG backend (legacy sequence matcher only)")
 	seqDots := flag.Bool("seq-dots", false, "match statement dots with the legacy syntactic sequence matcher instead of the CFG path engine")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker-pool size per request")
-	noPrefilter := flag.Bool("no-prefilter", false, "parse every file, even those a patch provably cannot touch")
+	noPrefilter := flag.Bool("no-prefilter", false, "parse every file and match every rule, even where a patch provably cannot fire")
 	noFnCache := flag.Bool("no-fn-cache", false, "disable function-granular matching and caching; eligible patches match whole files instead of per-function segments")
 	verify := flag.Bool("verify", false, "run the post-transform safety checker on every changed file; unsafe edits are demoted to warnings surfaced over the API and /metrics")
 	cacheDir := flag.String("cache-dir", "", "disk cache behind the in-memory layer; a restarted daemon comes back warm")

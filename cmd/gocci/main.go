@@ -54,7 +54,7 @@ func main() {
 	recurse := flag.Bool("r", false, "treat arguments as directories; apply to all C/C++ sources below them")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for recursive batch application")
 	stats := flag.Bool("stats", false, "print a files/matches/changes summary to stderr")
-	noPrefilter := flag.Bool("no-prefilter", false, "parse every file in recursive mode, even those the patch provably cannot touch")
+	noPrefilter := flag.Bool("no-prefilter", false, "parse every file in recursive mode and match every rule, even where the patch provably cannot fire")
 	cacheDir := flag.String("cache-dir", "", "persistent corpus-index directory for recursive mode; re-runs over unchanged files replay cached results")
 	noFnCache := flag.Bool("no-fn-cache", false, "disable function-granular matching and caching; eligible patches match whole files instead of per-function segments")
 	verify := flag.Bool("verify", false, "run the post-transform safety checker in recursive mode; unsafe edits are demoted to warnings")

@@ -40,6 +40,12 @@ import (
 // Options configures a batch run.
 type Options struct {
 	// Engine is the per-file engine configuration (dialect, CTL, limits).
+	// Engine.NoPrefilter also disables the batch layer's file-level
+	// prefilter, forcing every file through the full parse-and-match
+	// pipeline. The filter only skips files no rule could possibly fire
+	// on, so outputs are identical either way; disabling it restores
+	// per-file parse-error reporting for files the patch provably cannot
+	// touch.
 	Engine core.Options
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -48,12 +54,6 @@ type Options struct {
 	// Larger windows tolerate more skew between fast and slow files at the
 	// cost of buffering more results.
 	Window int
-	// NoPrefilter disables the required-atom prefilter, forcing every file
-	// through the full parse-and-match pipeline. The filter only skips
-	// files no rule could possibly fire on, so outputs are identical either
-	// way; disabling it restores per-file parse-error reporting for files
-	// the patch provably cannot touch.
-	NoPrefilter bool
 	// CacheDir, when non-empty, enables the persistent corpus index
 	// (internal/cache) rooted at that directory: file scans and per-file
 	// results are cached by content hash, so re-running over an unchanged
@@ -94,8 +94,11 @@ type Options struct {
 
 // fingerprint canonicalizes every result-affecting engine option into the
 // result-cache key, so a cached outcome is only ever replayed under the
-// exact configuration that produced it. NoPrefilter and Workers/Window are
-// excluded: they cannot change outputs.
+// exact configuration that produced it. Workers/Window are excluded: they
+// cannot change outputs. NoPrefilter is left out on purpose, so pruned and
+// unpruned runs share one cache: their outputs are identical, and the only
+// difference is error-vs-success on a file whose intermediate output does
+// not parse, which pruning never re-parses (errors are never cached).
 func fingerprint(o core.Options) string {
 	maxEnvs := o.MaxEnvs
 	if maxEnvs == 0 {
@@ -335,7 +338,7 @@ func New(patch *smpl.Patch, opts Options) *Runner {
 		patchSrc:   patch.Src,
 		cfgErr:     core.ValidateDefines(patch, opts.Engine.Defines),
 	}
-	if !opts.NoPrefilter {
+	if !opts.Engine.NoPrefilter {
 		r.filter = r.compiled.Prefilter.ForDefines(opts.Engine.Defines)
 	}
 	switch {
@@ -495,7 +498,11 @@ func (r *Runner) processOne(eng *core.Engine, tk *obs.Track, get func(int) (core
 		csp.Outcome(obs.OutcomeMiss).End()
 	}
 	var fr FileResult
-	if r.filter != nil && !r.mayMatchTraced(tk, f, fileHash) {
+	pass, words := true, map[string]bool(nil)
+	if r.filter != nil {
+		pass, words = r.mayMatchTraced(tk, f, fileHash)
+	}
+	if !pass {
 		// Provably unmatchable: synthesize the result a full run would
 		// produce, without parsing. (A syntactically broken file that
 		// cannot match is skipped too — its parse error goes unreported,
@@ -506,7 +513,7 @@ func (r *Runner) processOne(eng *core.Engine, tk *obs.Track, get func(int) (core
 			MatchCount: map[string]int{}, Skipped: true,
 		}
 	} else {
-		fr = r.applyFile(eng, tk, f, idx)
+		fr = r.applyFile(eng, tk, f, idx, words)
 	}
 	if r.opts.Verify && fr.Err == nil && fr.Output != f.Src {
 		vsp := tk.Start(obs.StageVerify).File(f.Name)
@@ -529,16 +536,16 @@ func (r *Runner) processOne(eng *core.Engine, tk *obs.Track, get func(int) (core
 }
 
 // mayMatchTraced wraps mayMatch in a prefilter span recording the decision.
-func (r *Runner) mayMatchTraced(tk *obs.Track, f core.SourceFile, fileHash string) bool {
+func (r *Runner) mayMatchTraced(tk *obs.Track, f core.SourceFile, fileHash string) (bool, map[string]bool) {
 	sp := tk.Start(obs.StagePrefilter).File(f.Name)
-	ok := r.mayMatch(f.Src, fileHash)
+	ok, words := r.mayMatch(f.Src, fileHash)
 	if ok {
 		sp.Outcome(obs.OutcomePass)
 	} else {
 		sp.Outcome(obs.OutcomeSkip)
 	}
 	sp.End()
-	return ok
+	return ok, words
 }
 
 // mayMatch consults the prefilter, answering from the persistent scan cache
@@ -546,9 +553,11 @@ func (r *Runner) mayMatchTraced(tk *obs.Track, f core.SourceFile, fileHash strin
 // computed at most once per content hash, ever, instead of one byte scan
 // per required atom per run. fileHash is the content hash when the caller
 // already computed it ("" otherwise), so a file is hashed at most once.
-func (r *Runner) mayMatch(src, fileHash string) bool {
+// The word set is returned too (nil without a store, where the filter
+// tests each atom on the bytes instead), for the engine's rule pruning.
+func (r *Runner) mayMatch(src, fileHash string) (bool, map[string]bool) {
 	if r.store == nil {
-		return r.filter.MayMatch(src)
+		return r.filter.MayMatch(src), nil
 	}
 	h := fileHash
 	if h == "" {
@@ -559,7 +568,7 @@ func (r *Runner) mayMatch(src, fileHash string) bool {
 		words = index.ScanWords(src)
 		r.store.PutWords(h, words)
 	}
-	return r.filter.MayMatchWords(words)
+	return r.filter.MayMatchWords(words), words
 }
 
 // record captures a completed file result for the cache.
@@ -664,10 +673,9 @@ func (r *Runner) collect(run func(func(FileResult) bool), fn func(FileResult) er
 // applyFile patches one file, through the function-granular pipeline when
 // this runner has one (falling back to the file-level engine whenever a
 // file or outcome is outside its province), else directly at file level.
-func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, idx int) FileResult {
-	if r.fn == nil {
-		return applyOne(eng, f, idx)
-	}
+// words is the file's prefilter word set when the caller has one (nil
+// otherwise), handed to the engine for rule pruning.
+func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, idx int, words map[string]bool) FileResult {
 	psp := tk.Start(obs.StageParse).File(f.Name)
 	parsed, err := cparse.Parse(f.Name, f.Src, cparse.Options{
 		CPlusPlus: r.opts.Engine.CPlusPlus, Std: r.opts.Engine.Std, CUDA: r.opts.Engine.CUDA,
@@ -676,6 +684,9 @@ func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, i
 	if err != nil {
 		// Match the file-level path's error shape (core.Engine.Run).
 		return FileResult{Index: idx, Name: f.Name, Err: fmt.Errorf("parsing %s: %w", f.Name, err)}
+	}
+	if r.fn == nil {
+		return applyOneParsed(eng, f, parsed, words, idx)
 	}
 	var store cache.Store
 	key := ""
@@ -695,23 +706,13 @@ func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, i
 			Parsed:       true,
 		}
 	}
-	return applyOneParsed(eng, f, parsed, idx)
+	return applyOneParsed(eng, f, parsed, words, idx)
 }
 
-// applyOne patches a single file on a reset engine.
-func applyOne(eng *core.Engine, f core.SourceFile, idx int) FileResult {
+// applyOneParsed patches a single parsed file on a reset engine.
+func applyOneParsed(eng *core.Engine, f core.SourceFile, parsed *cast.File, words map[string]bool, idx int) FileResult {
 	eng.Reset()
-	res, err := eng.Run([]core.SourceFile{f})
-	if err != nil {
-		return FileResult{Index: idx, Name: f.Name, Err: err}
-	}
-	return fileResult(idx, f, res)
-}
-
-// applyOneParsed is applyOne over an already-parsed input tree.
-func applyOneParsed(eng *core.Engine, f core.SourceFile, parsed *cast.File, idx int) FileResult {
-	eng.Reset()
-	res, err := eng.RunParsed([]core.ParsedFile{{Name: f.Name, Src: f.Src, File: parsed}})
+	res, err := eng.RunParsed([]core.ParsedFile{{Name: f.Name, Src: f.Src, File: parsed, Words: words}})
 	if err != nil {
 		return FileResult{Index: idx, Name: f.Name, Err: err}
 	}

@@ -365,9 +365,7 @@ func TestPrefilterParity(t *testing.T) {
 			collect := func(noPrefilter bool) []FileResult {
 				r := New(parsePatch(t, pc.patch), Options{
 					Workers: 4,
-					Engine:  core.Options{Defines: pc.defines},
-
-					NoPrefilter: noPrefilter,
+					Engine:  core.Options{Defines: pc.defines, NoPrefilter: noPrefilter},
 				})
 				var out []FileResult
 				r.Run(files, func(fr FileResult) bool { out = append(out, fr); return true })
@@ -450,7 +448,7 @@ func TestPrefilterSkipsUnparseable(t *testing.T) {
 		t.Errorf("stats = %+v, want the broken file skipped, not errored", st)
 	}
 
-	r = New(parsePatch(t, renamePatch), Options{Workers: 1, NoPrefilter: true})
+	r = New(parsePatch(t, renamePatch), Options{Workers: 1, Engine: core.Options{NoPrefilter: true}})
 	st, err = r.Collect(files, nil)
 	if err != nil {
 		t.Fatal(err)

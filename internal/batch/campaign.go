@@ -104,7 +104,7 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 	for _, p := range patches {
 		cp := &campaignPatch{patch: p, compiled: core.Compile(p), engOpts: opts.Engine}
 		cp.engOpts.Defines = intersectDefines(opts.Engine.Defines, p.Virtuals)
-		if !opts.NoPrefilter {
+		if !opts.Engine.NoPrefilter {
 			cp.filter = cp.compiled.Prefilter.ForDefines(cp.engOpts.Defines)
 		}
 		if !opts.NoFuncCache {

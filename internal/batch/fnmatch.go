@@ -262,7 +262,7 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 		// One candidate enumeration serves every segment's matcher; without
 		// it each RunSegment walks the whole AST again, costing k walks for
 		// a k-segment file.
-		cands := match.PrecomputeCands(parsed)
+		cands := match.NewCands(parsed)
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		workers := runtime.GOMAXPROCS(0)

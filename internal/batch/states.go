@@ -286,7 +286,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		}
 		eng := engines[i]
 		eng.Reset()
-		res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed}})
+		res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed, Words: words}})
 		if err != nil {
 			return fail(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/index"
+	"repro/internal/match"
 	"repro/internal/smpl"
 )
 
@@ -47,10 +48,35 @@ type Compiled struct {
 
 // compiledRule caches what runMatch would otherwise rebuild per run.
 type compiledRule struct {
+	// pos is the rule's position in the patch, its key in the prefilter.
+	pos   int
 	metas *smpl.MetaTable
 	// inherits maps a local metavariable name to the qualified
 	// "rule.remote" environment key it is bound from.
 	inherits map[string]string
+	// cfgEligible reports that the CFG path engine can take the pattern
+	// (match.CFGEligible); unless Options.SeqDots opts out, it is the
+	// rule's dots engine.
+	cfgEligible bool
+	// quantTop and quantNested locate `when strict`/`when forall` dots:
+	// at the pattern's top level, or nested inside an anchor.
+	quantTop, quantNested bool
+}
+
+// quantifierErr refuses to degrade `when strict`/`when forall` silently to
+// existential matching: they are path quantifiers only the CFG engine can
+// decide, so a quantified dots on a fallback path (or nested inside an
+// anchor, where matching is syntactic even under the CFG engine) is an
+// error, not a weaker match. It depends only on the rule and the options,
+// never on the file.
+func (cr *compiledRule) quantifierErr(rule *smpl.Rule, opts Options) error {
+	cfgPrimary := !opts.SeqDots && cr.cfgEligible
+	if (cr.quantTop && !cfgPrimary) || cr.quantNested {
+		return fmt.Errorf(
+			"rule %s: `when strict`/`when forall` requires the CFG dots engine, which cannot handle this pattern (quantified dots must be at the top level of a pattern without statement-list metavariables, compound anchors, or --seq-dots)",
+			rule.Name)
+	}
+	return nil
 }
 
 // Compile derives the per-rule matching artifacts from a parsed patch. The
@@ -61,13 +87,15 @@ func Compile(patch *smpl.Patch) *Compiled {
 		Prefilter: index.Build(patch),
 		rules:     make(map[*smpl.Rule]*compiledRule, len(patch.Rules)),
 	}
-	for _, rule := range patch.Rules {
-		cr := &compiledRule{metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
+	for i, rule := range patch.Rules {
+		cr := &compiledRule{pos: i, metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
 		for _, md := range rule.Metas {
 			if md.FromRule != "" {
 				cr.inherits[md.Name] = md.FromRule + "." + md.RemoteName
 			}
 		}
+		cr.cfgEligible = match.CFGEligible(rule.Pattern, cr.metas)
+		cr.quantTop, cr.quantNested = quantifiedDots(rule.Pattern)
 		c.rules[rule] = cr
 	}
 	return c

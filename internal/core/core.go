@@ -3,9 +3,12 @@
 // bind metavariables and record token edits; script rules transform bindings
 // through the restricted Python interpreter or registered Go functions;
 // environments flow from rule to rule exactly as in Coccinelle, keyed by
-// rule-qualified metavariable names. Edited files are re-parsed lazily,
-// just before the next match rule runs, so later rules match the patched
-// code and a final rule's output never has to re-parse at all.
+// rule-qualified metavariable names. Before a match rule runs, the patch's
+// required-atom index (Compiled.Prefilter) drops every file whose words
+// rule the rule out; edited files are re-parsed lazily, just before the
+// next match rule that can fire on them, so later rules match the patched
+// code and the output of the last rule that can fire never has to re-parse
+// at all.
 package core
 
 import (
@@ -19,6 +22,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/cparse"
 	"repro/internal/diff"
+	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/minipy"
 	"repro/internal/obs"
@@ -49,6 +53,12 @@ type Options struct {
 	// Defines sets virtual dependency names to true (spatch -D). Names not
 	// declared `virtual` in the patch are rejected at Run time.
 	Defines []string
+	// NoPrefilter turns off rule pruning: every match rule re-parses and
+	// enumerates candidates in every file, even where the required-atom
+	// index proves it cannot match. Outputs are identical either way,
+	// except that a re-parse error in a file no later rule can fire on
+	// surfaces only with pruning off.
+	NoPrefilter bool
 }
 
 // SourceFile is one input file.
@@ -172,6 +182,93 @@ type fileState struct {
 	// built on the first check-rule match, invalidated with the parse.
 	seg     *cast.Segmentation
 	segDone bool
+	// cands caches the matcher's candidate enumeration of the current
+	// parse, shared by every rule and environment until the next reparse.
+	cands *match.Cands
+	// words, added and the texts still to scan hold, for rule pruning, a
+	// superset of the identifier words of every text the file has had in
+	// this run: an inherited binding may carry words from an earlier text
+	// that a later rule's plus lines put back. words may alias the
+	// caller's set (ParsedFile.Words) and is never written; newly seen
+	// words go to added.
+	words, added map[string]bool
+	// unscanned lists texts whose words the set does not cover yet, and
+	// rescan marks the current text as one; both are merged in before the
+	// next rule tests the set.
+	unscanned []string
+	rescan    bool
+}
+
+// text returns the file's current text: the parsed source with the pending
+// edits applied.
+func (st *fileState) text() string {
+	if !st.dirty {
+		return st.src
+	}
+	return st.ed.Apply()
+}
+
+// mayMatch reports whether the prefilter lets the rule at position pos
+// match the file's current text.
+func (st *fileState) mayMatch(ix *index.Index, pos int) bool {
+	if st.rescan {
+		st.unscanned, st.rescan = append(st.unscanned, st.text()), false
+	}
+	if len(st.unscanned) > 0 {
+		sp := st.trace.Start(obs.StagePrefilter).File(st.name)
+		for _, text := range st.unscanned {
+			if st.words == nil {
+				st.words = index.ScanWords(text)
+				continue
+			}
+			for w := range index.ScanWords(text) {
+				st.add(w)
+			}
+		}
+		st.unscanned = nil
+		sp.End()
+	}
+	return ix.RuleMayMatch(pos, func(w string) bool { return st.words[w] || st.added[w] })
+}
+
+// add puts w in the word set.
+func (st *fileState) add(w string) {
+	if st.words[w] {
+		return
+	}
+	if st.added == nil {
+		st.added = map[string]bool{}
+	}
+	st.added[w] = true
+}
+
+// inserted records that the rule at position pos edited the file, whose
+// pre-edit text is st.src (the rule re-parsed it). The set keeps that text
+// and grows by the rule's plus-line atoms, or the edited text is marked
+// for a rescan when the rule may insert words that are not statically
+// known. crossFile reports that the run holds more than one file, so an
+// inherited binding substituted on a plus line may carry another file's
+// words.
+func (st *fileState) inserted(ix *index.Index, pos int, crossFile bool) {
+	if st.rescan {
+		st.unscanned, st.rescan = append(st.unscanned, st.src), false
+	}
+	atoms, unknown, inherited := ix.RuleInserts(pos)
+	if unknown || (inherited && crossFile) {
+		st.rescan = true
+		return
+	}
+	for _, w := range atoms {
+		st.add(w)
+	}
+}
+
+// candidates returns the shared candidate enumeration of the current parse.
+func (st *fileState) candidates() *match.Cands {
+	if st.cands == nil {
+		st.cands = match.NewCands(st.file)
+	}
+	return st.cands
 }
 
 // segmentation lazily segments the current parse (nil for files without
@@ -218,6 +315,11 @@ type ParsedFile struct {
 	Name string
 	Src  string
 	File *cast.File
+	// Words, when non-nil, is a superset of Src's identifier words
+	// (index.ScanWords), which the caller already has from its file-level
+	// prefilter; the engine reads it for rule pruning and never writes it.
+	// Nil makes the engine scan Src itself when a rule needs the words.
+	Words map[string]bool
 }
 
 // Run applies the patch to the files.
@@ -243,7 +345,11 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	states := make([]*fileState, 0, len(files))
 	for _, f := range files {
-		states = append(states, &fileState{name: f.Name, src: f.Src, file: f.File, ed: transform.NewEditSet(f.File.Toks), trace: e.trace})
+		st := &fileState{name: f.Name, src: f.Src, file: f.File, ed: transform.NewEditSet(f.File.Toks), trace: e.trace, words: f.Words}
+		if f.Words == nil {
+			st.unscanned = []string{f.Src}
+		}
+		states = append(states, st)
 	}
 
 	res := &Result{
@@ -295,10 +401,7 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 
 	rsp := e.trace.Start(obs.StageRender)
 	for _, st := range states {
-		if st.dirty {
-			st.src = st.ed.Apply()
-		}
-		res.Outputs[st.name] = st.src
+		res.Outputs[st.name] = st.text()
 	}
 	for _, f := range files {
 		res.Diffs[f.Name] = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, res.Outputs[f.Name])
@@ -395,11 +498,33 @@ func (e *Engine) execScript(rule *smpl.Rule, locals map[string]string) (map[stri
 
 // runMatch executes a match rule over all files for every environment.
 func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState, res *Result) ([]match.Env, error) {
+	cr := e.compiled.rule(rule)
+	if err := cr.quantifierErr(rule, e.opts); err != nil {
+		return nil, err
+	}
+	// Drop the files the rule provably cannot match before paying for their
+	// reparse and candidate enumeration: a pruned file keeps its pending
+	// edits until a rule that can fire on it, or the final render, needs
+	// them.
+	live := states
+	ix := e.compiled.Prefilter
+	if !e.opts.NoPrefilter && ix.RuleRequires(cr.pos) {
+		live = make([]*fileState, 0, len(states))
+		for _, st := range states {
+			if st.mayMatch(ix, cr.pos) {
+				live = append(live, st)
+			}
+		}
+		if len(live) == 0 {
+			e.trace.Start(obs.StageMatch).Rule(rule.Name).Outcome(obs.OutcomeSkip).End()
+			return envs, nil
+		}
+	}
 	// Earlier rules may have edited files; refresh parses lazily, here,
-	// rather than eagerly after each transformation — so a final rule's
-	// output never needs to re-parse at all (it may use constructs beyond
-	// our C++ subset, e.g. injected library macros).
-	if err := e.reparse(states); err != nil {
+	// rather than eagerly after each transformation — so the output of the
+	// last rule that can fire never needs to re-parse at all (it may use
+	// constructs beyond our C++ subset, e.g. injected library macros).
+	if err := e.reparse(live); err != nil {
 		return nil, err
 	}
 	preMatches := res.MatchCount[rule.Name]
@@ -413,24 +538,10 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 			csp.Matches(len(res.Findings) - preFindings).End()
 		}()
 	}
-	cr := e.compiled.rule(rule)
 	metas := cr.metas
 	// Names this rule inherits: local -> qualified key.
 	inherits := cr.inherits
-
-	// Engine choice is a per-rule constant: the CFG path engine unless the
-	// caller opted out or the pattern shape forces the sequence fallback.
-	cfgPrimary := !e.opts.SeqDots && match.CFGEligible(rule.Pattern, metas)
-	// `when strict`/`when forall` are path quantifiers only the CFG engine
-	// can decide. Refuse to degrade them silently to existential matching:
-	// a quantified dots on a fallback path (or nested inside an anchor,
-	// where matching is syntactic even under the CFG engine) is an error,
-	// not a weaker match.
-	if top, nested := quantifiedDots(rule.Pattern); (top && !cfgPrimary) || nested {
-		return nil, fmt.Errorf(
-			"rule %s: `when strict`/`when forall` requires the CFG dots engine, which cannot handle this pattern (quantified dots must be at the top level of a pattern without statement-list metavariables, compound anchors, or --seq-dots)",
-			rule.Name)
-	}
+	cfgPrimary := !e.opts.SeqDots && cr.cfgEligible
 
 	var out []match.Env
 	anyMatch := false
@@ -453,13 +564,14 @@ envLoop:
 		}
 
 		envMatched := false
-		for _, st := range states {
+		for _, st := range live {
 			m := &match.Matcher{
 				Pat:        rule.Pattern,
 				Metas:      metas,
 				Code:       st.file,
 				Inherited:  inherited,
 				MaxMatches: e.opts.MaxMatchesPerRule,
+				Cands:      st.candidates(),
 			}
 			if !e.opts.SeqDots {
 				m.CFGs = st.cfg
@@ -519,8 +631,17 @@ envLoop:
 	if anyMatch {
 		res.Matched[rule.Name] = true
 	}
-	// Edits stay pending in the EditSet until the next match rule forces a
-	// re-parse or the final render applies them.
+	// Every live file was re-parsed clean above, so dirty now means this
+	// rule edited it. The edits stay pending in the EditSet until the next
+	// match rule that can fire forces a re-parse, or the final render
+	// applies them.
+	if !e.opts.NoPrefilter {
+		for _, st := range live {
+			if st.dirty {
+				st.inserted(ix, cr.pos, len(states) > 1)
+			}
+		}
+	}
 	return dedupEnvs(out), nil
 }
 
@@ -557,7 +678,7 @@ func (e *Engine) reparse(states []*fileState) error {
 		if !st.dirty {
 			continue
 		}
-		newSrc := st.ed.Apply()
+		newSrc := st.text()
 		sp := e.trace.Start(obs.StageParse).File(st.name)
 		cf, err := cparse.Parse(st.name, newSrc, e.parseOpts())
 		sp.End()
@@ -568,7 +689,8 @@ func (e *Engine) reparse(states []*fileState) error {
 		st.file = cf
 		st.ed = transform.NewEditSet(cf.Toks)
 		st.dirty = false
-		st.cfgs = nil // graphs describe the old tree
+		st.cfgs = nil // graphs and candidates describe the old tree
+		st.cands = nil
 		st.seg, st.segDone = nil, false
 	}
 	return nil

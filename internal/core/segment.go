@@ -105,11 +105,7 @@ func FunctionLocal(c *Compiled, opts Options) bool {
 			return false
 		}
 	}
-	cfgPrimary := !opts.SeqDots && match.CFGEligible(pat, cr.metas)
-	if top, nested := quantifiedDots(pat); (top && !cfgPrimary) || nested {
-		return false
-	}
-	return true
+	return cr.quantifierErr(mr, opts) == nil
 }
 
 // SegmentJob identifies one segment of one file to match.
@@ -122,7 +118,7 @@ type SegmentJob struct {
 	// gaps between functions).
 	Fn int
 	// Cands, when non-nil, is the file's shared candidate enumeration
-	// (match.PrecomputeCands(File)). Without it every segment's matcher
+	// (match.NewCands(File)). Without it every segment's matcher
 	// re-walks the whole AST to enumerate candidates, making a k-segment
 	// file cost k walks instead of one.
 	Cands *match.Cands
@@ -190,7 +186,7 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 	}
 	if rule.Depends.Eval(matched) {
 		cr := e.compiled.rule(rule)
-		cfgPrimary := !e.opts.SeqDots && match.CFGEligible(rule.Pattern, cr.metas)
+		cfgPrimary := !e.opts.SeqDots && cr.cfgEligible
 		m := &match.Matcher{
 			Pat:   rule.Pattern,
 			Metas: cr.metas,

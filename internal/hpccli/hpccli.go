@@ -15,7 +15,6 @@ import (
 
 	sempatch "repro"
 	"repro/internal/cliutil"
-	"repro/internal/cparse"
 	"repro/internal/diff"
 	"repro/internal/hpc"
 )
@@ -110,7 +109,6 @@ func runCampaign(s Spec, paths []string) int {
 	}
 	code := 0
 	start := time.Now()
-	parses := cparse.Parses()
 	st, err := ca.ApplyAllPathsFunc(paths, func(fr sempatch.CampaignFileResult) error {
 		if fr.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, fr.Err)
@@ -133,7 +131,6 @@ func runCampaign(s Spec, paths []string) int {
 		}
 		return nil
 	})
-	parses = cparse.Parses() - parses
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
@@ -149,7 +146,7 @@ func runCampaign(s Spec, paths []string) int {
 	if s.Stats {
 		fmt.Fprintf(os.Stderr, "%s: campaign %s v%s: %d files, %d changed, %d errors, parsed: %d in %v\n",
 			s.Tool, s.Campaign.Name, s.Campaign.Version, st.Files, st.Changed, st.Errors,
-			parses, elapsed.Round(time.Millisecond))
+			st.Parsed, elapsed.Round(time.Millisecond))
 		for _, ps := range st.PerPatch {
 			fmt.Fprintf(os.Stderr, "%s:   patch %s: %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d functions matched, %d functions cached, %d demoted, %d warnings\n",
 				s.Tool, ps.Patch, ps.Skipped, ps.Cached, ps.Matched, ps.Matches, ps.Changed,

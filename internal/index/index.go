@@ -57,6 +57,11 @@ type ruleInfo struct {
 	// known (fresh identifiers, script- or taint-derived bindings): after
 	// such a rule may fire, no later atom can be ruled absent.
 	insertsUnknown bool
+	// insertsInherited marks plus lines that substitute a binding inherited
+	// from an earlier rule. Untainted, such a binding holds text of the
+	// file the earlier rule matched, which adds no new words only while
+	// every rule runs on that one file.
+	insertsInherited bool
 	// inputRules names the source rules of a script rule's inputs; if any
 	// of them cannot fire, the script body never executes.
 	inputRules []string
@@ -113,7 +118,7 @@ func Build(p *smpl.Patch) *Index {
 			if t {
 				tainted[r.Name] = true
 			}
-			ri.plusAtoms, ri.insertsUnknown = plusInsertions(r, metas, tainted)
+			ri.plusAtoms, ri.insertsUnknown, ri.insertsInherited = plusInsertions(r, metas, tainted)
 		}
 		ix.rules = append(ix.rules, ri)
 	}
@@ -124,11 +129,12 @@ func Build(p *smpl.Patch) *Index {
 // A word that names one of the rule's metavariables is replaced at apply
 // time: if the binding can only come from matching this same file, the
 // replacement introduces no new words; fresh identifiers and taint-derived
-// bindings can introduce anything. All remaining words are inserted
-// verbatim.
-func plusInsertions(r *smpl.Rule, metas *smpl.MetaTable, tainted map[string]bool) (atoms []string, unknown bool) {
+// bindings can introduce anything. Inherited bindings come from this file
+// only while the engine runs on one file, so they are reported apart. All
+// remaining words are inserted verbatim.
+func plusInsertions(r *smpl.Rule, metas *smpl.MetaTable, tainted map[string]bool) (atoms []string, unknown, inherited bool) {
 	if r.Pattern == nil {
-		return nil, false
+		return nil, false, false
 	}
 	seen := map[string]bool{}
 	for _, blk := range r.Pattern.PlusBlocks {
@@ -147,10 +153,67 @@ func plusInsertions(r *smpl.Rule, metas *smpl.MetaTable, tainted map[string]bool
 					(d.FromRule != "" && tainted[d.FromRule]) {
 					unknown = true
 				}
+				if d.FromRule != "" {
+					inherited = true
+				}
 			}
 		}
 	}
-	return atoms, unknown
+	return atoms, unknown, inherited
+}
+
+// admits is the per-rule atom test: every required atom is present and
+// every disjunction group has a present member. Rules without requirements
+// (script, initialize and finalize rules, and match rules the extractor
+// could not bound) admit every file.
+func (r *ruleInfo) admits(has func(string) bool) bool {
+	for _, a := range r.atoms {
+		if !has(a) {
+			return false
+		}
+	}
+	for _, g := range r.groups {
+		anyIn := false
+		for _, a := range g {
+			if has(a) {
+				anyIn = true
+				break
+			}
+		}
+		if !anyIn {
+			return false
+		}
+	}
+	return true
+}
+
+// RuleMayMatch reports whether the rule at position i of the patch could
+// match a file whose identifier words satisfy has. False is a guarantee:
+// the rule's pattern matches nothing in such a file, under any inherited
+// bindings, so an engine may skip the rule there without re-parsing or
+// enumerating candidates. It is the same test MayMatch applies to each
+// rule, without the dependency and insertion bookkeeping.
+func (ix *Index) RuleMayMatch(i int, has func(string) bool) bool {
+	return ix.rules[i].admits(has)
+}
+
+// RuleRequires reports whether the rule at position i has any required
+// atom or group, i.e. whether RuleMayMatch can ever answer false for it.
+func (ix *Index) RuleRequires(i int) bool {
+	return len(ix.rules[i].atoms) > 0 || len(ix.rules[i].groups) > 0
+}
+
+// RuleInserts returns the words the plus lines of the rule at position i
+// insert verbatim, whether they may also insert words that are not
+// statically known (fresh identifiers, script- or taint-derived bindings),
+// and whether they substitute a binding inherited from an earlier rule.
+// After the rule edits a file, the file's words are a subset of the words
+// of its earlier texts plus atoms — unless unknown is set, or inherited is
+// and the earlier rule may have matched another file, when only a rescan
+// can tell.
+func (ix *Index) RuleInserts(i int) (atoms []string, unknown, inherited bool) {
+	r := &ix.rules[i]
+	return r.plusAtoms, r.insertsUnknown, r.insertsInherited
 }
 
 // UnprunableRules returns the names of match rules whose required-atom set
@@ -231,8 +294,10 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 	inserted := map[string]bool{}
 	insertedUnknown := false
 	any := false
+	hasOrInserted := func(w string) bool { return has(w) || inserted[w] }
 
-	for _, r := range f.ix.rules {
+	for i := range f.ix.rules {
+		r := &f.ix.rules[i]
 		var v tri
 		switch r.kind {
 		case smpl.FinalizeRule:
@@ -261,28 +326,8 @@ func (f *Filter) mayMatch(has func(string) bool) bool {
 		case smpl.MatchRule:
 			if evalDep(r.depends, fired) != triNo {
 				v = triMaybe
-				if !insertedUnknown {
-					for _, a := range r.atoms {
-						if !has(a) && !inserted[a] {
-							v = triNo
-							break
-						}
-					}
-					for _, g := range r.groups {
-						if v == triNo {
-							break
-						}
-						anyIn := false
-						for _, a := range g {
-							if has(a) || inserted[a] {
-								anyIn = true
-								break
-							}
-						}
-						if !anyIn {
-							v = triNo
-						}
-					}
+				if !insertedUnknown && !r.admits(hasOrInserted) {
+					v = triNo
 				}
 			}
 			if v != triNo {

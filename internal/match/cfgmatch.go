@@ -259,7 +259,7 @@ func (p *pathCtx) nodeAllowed(d *cast.Dots, n *cfg.Node) bool {
 	for _, forbidden := range d.WhenNot {
 		for _, root := range roots {
 			for _, sub := range cast.Exprs(root) {
-				probe := &ctx{m: p.c.m, env: p.c.env.Clone()}
+				probe := p.c.probe()
 				if probe.expr(forbidden, sub) {
 					return false
 				}
@@ -272,7 +272,7 @@ func (p *pathCtx) nodeAllowed(d *cast.Dots, n *cfg.Node) bool {
 			return false
 		}
 		for _, only := range d.WhenOnly {
-			probe := &ctx{m: p.c.m, env: p.c.env.Clone()}
+			probe := p.c.probe()
 			if probe.expr(only, es.X) {
 				return true
 			}

@@ -7,6 +7,7 @@ package match
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/cast"
 	"repro/internal/cfg"
@@ -85,50 +86,57 @@ type Matcher struct {
 	// match set: every match found without a window is found under exactly
 	// one window of the partition, and vice versa.
 	Window func(first, last int) bool
-	// Cands, when non-nil, supplies the file's candidate enumerations,
-	// computed once by PrecomputeCands. Windowed per-segment matchers share
-	// one Cands so FindAll filters a ready list instead of re-walking the
-	// whole AST per segment; it must have been computed from Code.
+	// Cands, when non-nil, supplies the file's candidate enumerations (see
+	// NewCands). Every matcher over one parse — each rule and environment
+	// of a whole-file run, each window of a segmented run — shares one Cands
+	// so FindAll filters a ready list instead of re-walking the whole AST;
+	// it must have been made from Code.
 	Cands *Cands
 }
 
 // Cands caches the per-file candidate enumerations FindAll iterates: every
-// expression, every statement context, and every function definition.
-// Computing them costs a full AST walk, so segment-granular callers that run
-// FindAll once per window build one Cands per file and share it (it is
-// read-only and safe for concurrent matchers).
+// expression, every statement context, and every function definition. Each
+// kind costs a full AST walk, so it is enumerated on first use only — a
+// statement pattern never pays for the expression list. A Cands is safe for
+// concurrent matchers.
 type Cands struct {
-	exprs []cast.Expr
-	stmts []stmtContext
-	funcs []*cast.FuncDef
+	file                            *cast.File
+	exprsOnce, stmtsOnce, funcsOnce sync.Once
+	exprs                           []cast.Expr
+	stmts                           []stmtContext
+	funcs                           []*cast.FuncDef
 }
 
-// PrecomputeCands enumerates f's candidates for Matcher.Cands.
-func PrecomputeCands(f *cast.File) *Cands {
-	return &Cands{exprs: cast.Exprs(f), stmts: stmtContexts(f), funcs: f.Funcs()}
+// NewCands returns the (lazily enumerated) candidates of f for
+// Matcher.Cands.
+func NewCands(f *cast.File) *Cands {
+	return &Cands{file: f}
 }
 
 // exprCands returns the expression candidates, enumerating on demand when no
-// precomputed set was supplied.
+// shared set was supplied.
 func (m *Matcher) exprCands() []cast.Expr {
-	if m.Cands != nil {
-		return m.Cands.exprs
+	if c := m.Cands; c != nil {
+		c.exprsOnce.Do(func() { c.exprs = cast.Exprs(c.file) })
+		return c.exprs
 	}
 	return cast.Exprs(m.Code)
 }
 
 // stmtCands returns the statement-context candidates.
 func (m *Matcher) stmtCands() []stmtContext {
-	if m.Cands != nil {
-		return m.Cands.stmts
+	if c := m.Cands; c != nil {
+		c.stmtsOnce.Do(func() { c.stmts = stmtContexts(c.file) })
+		return c.stmts
 	}
 	return stmtContexts(m.Code)
 }
 
 // funcCands returns the function-definition candidates.
 func (m *Matcher) funcCands() []*cast.FuncDef {
-	if m.Cands != nil {
-		return m.Cands.funcs
+	if c := m.Cands; c != nil {
+		c.funcsOnce.Do(func() { c.funcs = c.file.Funcs() })
+		return c.funcs
 	}
 	return m.Code.Funcs()
 }
@@ -144,7 +152,9 @@ func (m *Matcher) admits(n cast.Node) bool {
 
 // ctx is the per-attempt mutable state with undo support.
 type ctx struct {
-	m    *Matcher
+	m *Matcher
+	// env is allocated on the first binding: most candidates fail before
+	// binding anything, and reads and deletes on a nil map are no-ops.
 	env  Env
 	adds []string // keys added to env, for rollback
 	corr []Pair
@@ -209,6 +219,9 @@ func (c *ctx) bindValue(name string, b Binding) bool {
 	}
 	if !c.checkConstraints(name, b) {
 		return false
+	}
+	if c.env == nil {
+		c.env = Env{}
 	}
 	c.env[name] = b
 	c.adds = append(c.adds, name)
@@ -289,7 +302,16 @@ func (c *ctx) finish() Match {
 }
 
 func (m *Matcher) newCtx() *ctx {
-	return &ctx{m: m, env: Env{}}
+	return &ctx{m: m}
+}
+
+// probe returns a scratch context starting from c's bindings, for trial
+// matches (`when` constraints) whose bindings must not leak back into c.
+func (c *ctx) probe() *ctx {
+	if len(c.env) == 0 {
+		return &ctx{m: c.m}
+	}
+	return &ctx{m: c.m, env: c.env.Clone()}
 }
 
 // ExprOccurs reports whether the pattern expression matches any

@@ -491,7 +491,7 @@ func (c *ctx) dotsAllows(d *cast.Dots, skipped cast.Stmt) bool {
 	}
 	for _, forbidden := range d.WhenNot {
 		for _, sub := range cast.Exprs(skipped) {
-			probe := &ctx{m: c.m, env: c.env.Clone()}
+			probe := c.probe()
 			if probe.expr(forbidden, sub) {
 				return false
 			}
@@ -503,7 +503,7 @@ func (c *ctx) dotsAllows(d *cast.Dots, skipped cast.Stmt) bool {
 			return false
 		}
 		for _, only := range d.WhenOnly {
-			probe := &ctx{m: c.m, env: c.env.Clone()}
+			probe := c.probe()
 			if probe.expr(only, es.X) {
 				return true
 			}

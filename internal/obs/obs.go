@@ -41,11 +41,11 @@ const (
 	StageCacheWrite = "cache-write" // result/function cache persists
 )
 
-// Outcome values recorded on prefilter and cache spans.
+// Outcome values recorded on prefilter, cache and match spans.
 const (
 	OutcomeHit  = "hit"  // cache lookup replayed a stored result
 	OutcomeMiss = "miss" // cache lookup found nothing usable
-	OutcomeSkip = "skip" // prefilter proved no rule can fire
+	OutcomeSkip = "skip" // prefilter proved no rule (on a match span: this rule) can fire
 	OutcomePass = "pass" // prefilter let the file through
 )
 
@@ -162,7 +162,8 @@ func (s Span) Rule(name string) Span {
 	return s
 }
 
-// Outcome records a cache or prefilter decision (Outcome* constants).
+// Outcome records a cache or prefilter decision (Outcome* constants); on a
+// match span, OutcomeSkip marks a rule the prefilter pruned.
 func (s Span) Outcome(o string) Span {
 	if s.tk != nil {
 		s.tk.spans[s.idx].outcome = o

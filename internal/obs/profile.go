@@ -22,6 +22,7 @@ type StageStat struct {
 type RuleStat struct {
 	Rule    string
 	Spans   int // match spans recorded for the rule
+	Pruned  int // spans the prefilter skipped (OutcomeSkip): no reparse, no candidates
 	Fired   int // spans with at least one match
 	Matches int // total matches
 	Total   time.Duration
@@ -112,6 +113,9 @@ func (t *Tracer) Profile() *Profile {
 						rules[sp.rule] = rs
 					}
 					rs.Spans++
+					if sp.outcome == OutcomeSkip {
+						rs.Pruned++
+					}
 					rs.Matches += sp.matches
 					if sp.matches > 0 {
 						rs.Fired++
@@ -186,7 +190,7 @@ func (p *Profile) StageSeconds() map[string]float64 {
 }
 
 // Format renders the aggregate table `gocci --profile` prints: self-time per
-// stage, per-rule fire/miss/time, the cache hit breakdown, and prefilter
+// stage, per-rule prune/fire/time, the cache hit breakdown, and prefilter
 // skip savings.
 func (p *Profile) Format() string {
 	var sb strings.Builder
@@ -201,13 +205,17 @@ func (p *Profile) Format() string {
 			ss.Stage, ss.Count, round(ss.Total), round(ss.Self), pct)
 	}
 	if len(p.Rules) > 0 {
-		sb.WriteString("rule                        runs  fired  matches       time\n")
+		sb.WriteString("rule                        runs pruned  fired  matches       time\n")
 		for _, rs := range p.Rules {
-			fmt.Fprintf(&sb, "%-26s %6d %6d %8d %10s\n",
-				rs.Rule, rs.Spans, rs.Fired, rs.Matches, round(rs.Total))
+			fmt.Fprintf(&sb, "%-26s %6d %6d %6d %8d %10s\n",
+				rs.Rule, rs.Spans, rs.Pruned, rs.Fired, rs.Matches, round(rs.Total))
 		}
 		for _, rs := range p.Rules {
-			if rs.Fired == 0 {
+			switch {
+			case rs.Fired > 0:
+			case rs.Pruned == rs.Spans:
+				fmt.Fprintf(&sb, "rule %s never fired (pruned by the prefilter in all %d runs)\n", rs.Rule, rs.Spans)
+			default:
 				fmt.Fprintf(&sb, "rule %s never fired\n", rs.Rule)
 			}
 		}

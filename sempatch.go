@@ -76,11 +76,12 @@ type Options struct {
 	// Workers is the pool size for BatchApplier; <= 0 means GOMAXPROCS.
 	// Ignored by the single-threaded Applier.
 	Workers int
-	// NoPrefilter disables the BatchApplier's required-atom prefilter, so
-	// every file is parsed and matched even when it provably cannot be
-	// touched by the patch. Outputs are identical either way; disable the
-	// filter to surface parse errors in files the patch cannot match, or
-	// to measure its effect. Ignored by the single-threaded Applier.
+	// NoPrefilter disables the required-atom prefilter, so every file is
+	// parsed and every rule matched even when it provably cannot touch the
+	// file: BatchApplier and Campaign runs skip no file, and no engine
+	// (the Applier's included) prunes a rule. Outputs are identical either
+	// way; disable the filter to surface parse errors in files the patch
+	// cannot match, or to measure its effect.
 	NoPrefilter bool
 	// CacheDir, when non-empty, enables the persistent corpus index rooted
 	// at that directory for BatchApplier and Campaign runs: file scans and
@@ -138,13 +139,14 @@ func (o Options) internal() core.Options {
 	return core.Options{
 		CPlusPlus: o.CPlusPlus, Std: o.Std, CUDA: o.CUDA,
 		UseCTL: o.UseCTL, SeqDots: o.SeqDots, MaxEnvs: o.MaxEnvs, Defines: o.Defines,
+		NoPrefilter: o.NoPrefilter,
 	}
 }
 
 func (o Options) batch() batch.Options {
 	return batch.Options{
 		Engine: o.internal(), Workers: o.Workers,
-		NoPrefilter: o.NoPrefilter, CacheDir: o.CacheDir, NoFuncCache: o.NoFuncCache,
+		CacheDir: o.CacheDir, NoFuncCache: o.NoFuncCache,
 		Verify: o.Verify, Tracer: o.Tracer,
 	}
 }

@@ -46,6 +46,47 @@ func TestApplierMultipleFiles(t *testing.T) {
 	}
 }
 
+// TestApplierPruneAcrossFiles pins rule pruning in a multi-file Apply: a
+// binding made in one file and inserted into another by a plus line must
+// let a later rule fire there, exactly as with NoPrefilter.
+func TestApplierPruneAcrossFiles(t *testing.T) {
+	p, err := ParsePatch("x.cocci", `@take@
+identifier F;
+@@
+- marker_src(F);
+
+@put@
+identifier take.F;
+@@
+- marker_dst();
++ F();
+
+@use@
+@@
+- secret_api();
++ done();
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []File{
+		{Name: "a.c", Src: "void f(void)\n{\n\tmarker_src(secret_api);\n}\n"},
+		{Name: "b.c", Src: "void g(void)\n{\n\tmarker_dst();\n}\n"},
+	}
+	for _, noPrefilter := range []bool{false, true} {
+		res, err := NewApplier(p, Options{NoPrefilter: noPrefilter}).Apply(files...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "void g(void)\n{\n\tdone();\n}\n"; res.Outputs["b.c"] != want {
+			t.Errorf("NoPrefilter=%v: b.c = %q, want %q", noPrefilter, res.Outputs["b.c"], want)
+		}
+		if res.MatchCount["use"] != 1 {
+			t.Errorf("NoPrefilter=%v: use matched %d times, want 1", noPrefilter, res.MatchCount["use"])
+		}
+	}
+}
+
 func TestPatchRules(t *testing.T) {
 	p, err := ParsePatch("two.cocci", "@one@\n@@\n- a();\n\n@two depends on one@\n@@\n- b();\n")
 	if err != nil {
