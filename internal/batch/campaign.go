@@ -352,10 +352,17 @@ func (c *Campaign) run(n int, tr *obs.Tracer, get func(int) *FileState, yield fu
 	}, func(fr CampaignFileResult) int { return fr.Index }, yield)
 }
 
-// put persists one member outcome when result caching is on.
-func (c *Campaign) put(tk *obs.Track, cp *campaignPatch, fileHash string, rec *cache.Record) {
+// put persists one member outcome when result caching is on, first filling
+// a changed record's Sum: the output's content hash is computed here once,
+// and the caller carries it forward as the next member's lookup hash.
+func (c *Campaign) put(tk *obs.Track, name string, cp *campaignPatch, fileHash string, rec *cache.Record) {
 	if !c.resultCacheable() || fileHash == "" {
 		return
+	}
+	if rec.Changed {
+		sp := tk.Start(obs.StageHash).File(name)
+		rec.Sum = cache.HashString(rec.Output)
+		sp.End()
 	}
 	sp := tk.Start(obs.StageCacheWrite)
 	c.store.PutResult(cp.key, fileHash, rec)

@@ -3,8 +3,9 @@
 // warm between requests; FileState is how it hands those artifacts to one
 // campaign sweep and harvests what the sweep had to derive. Everything is
 // lazy: a file whose outcome replays entirely from the result cache is
-// never even read, one whose words rule out every patch is read but never
-// parsed, and only files a patch actually runs on cost a parse.
+// never even read (nor, when the caller holds its diff, is one the patches
+// change), one whose words rule out every patch is read but never parsed,
+// and only files a patch actually runs on cost a parse.
 
 package batch
 
@@ -44,6 +45,13 @@ type FileState struct {
 	// been produced by parsing the text Hash names under the same dialect
 	// options as this campaign; the run only reads it.
 	Parsed *cast.File
+	// Diff is a unified diff of the input text Hash names, labelled by
+	// Name, and DiffOf the output text it leads to; both "" when unknown.
+	// A diff is a pure function of (Name, input, output), so when a run
+	// ends on exactly DiffOf it returns Diff without reading the input or
+	// diffing again. A run that computes a non-empty diff leaves it here.
+	Diff   string
+	DiffOf string
 
 	// ReadInput reports that the run called Read; Src and Loaded now hold
 	// the text.
@@ -212,8 +220,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				o.Findings = loadFindings(rec.Findings)
 				if rec.Changed {
 					o.Changed = true
+					// Sum is the replayed output's content hash (the disk
+					// layer verified it on read), so the next member's
+					// lookup needs no re-hash.
 					cur, curLoaded, curIsInput = rec.Output, true, false
-					curHash, words, parsed = "", nil, nil
+					curHash, words, parsed = rec.Sum, nil, nil
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -234,7 +245,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			if !pass {
 				o.Skipped = true
 				o.MatchCount = map[string]int{}
-				c.put(tk, cp, curHash, &cache.Record{Skipped: true})
+				c.put(tk, st.Name, cp, curHash, &cache.Record{Skipped: true})
 				fr.Patches = append(fr.Patches, o)
 				continue
 			}
@@ -275,10 +286,10 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 					rec.Output = out.Output
 					next = c.verifyOutcome(tk, st.Name, cur, out.Output, &o, rec)
 				}
-				c.put(tk, cp, curHash, rec)
+				c.put(tk, st.Name, cp, curHash, rec)
 				if o.Changed {
 					cur, curLoaded, curIsInput = next, true, false
-					curHash, words, parsed = "", nil, nil
+					curHash, words, parsed = rec.Sum, nil, nil
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -301,10 +312,10 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			rec.Output = out
 			out = c.verifyOutcome(tk, st.Name, cur, out, &o, rec)
 		}
-		c.put(tk, cp, curHash, rec)
+		c.put(tk, st.Name, cp, curHash, rec)
 		if o.Changed {
 			cur, curLoaded, curIsInput = out, true, false
-			curHash, words, parsed = "", nil, nil
+			curHash, words, parsed = rec.Sum, nil, nil
 		}
 		fr.Patches = append(fr.Patches, o)
 	}
@@ -314,6 +325,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		fr.OutputElided = true
 		return fr
 	}
+	if st.Diff != "" && st.DiffOf == cur {
+		// The caller already holds this output's diff against this input.
+		fr.Output, fr.Diff = cur, st.Diff
+		return fr
+	}
 	if err := st.load(); err != nil { // the diff needs the original input
 		return fail(err)
 	}
@@ -321,5 +337,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	fr.Output = cur
 	fr.Diff = diff.Unified("a/"+st.Name, "b/"+st.Name, st.Src, cur)
 	dsp.End()
+	if fr.Diff != "" {
+		st.Diff, st.DiffOf = fr.Diff, cur
+	}
 	return fr
 }

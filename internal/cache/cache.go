@@ -262,9 +262,10 @@ func (c *Cache) Result(key, fileHash string) (*Record, bool) {
 	return &r, true
 }
 
-// PutResult stores one per-file outcome.
+// PutResult stores one per-file outcome, filling a changed record's Sum
+// unless the caller already computed it. Result verifies Sum on every read.
 func (c *Cache) PutResult(key, fileHash string, r *Record) error {
-	if r.Changed {
+	if r.Changed && r.Sum == "" {
 		r.Sum = HashString(r.Output)
 	}
 	return c.store(c.resPath(key, fileHash), r)

@@ -114,8 +114,13 @@ func (m *Memory) Result(key, fileHash string) (*Record, bool) {
 	return nil, false
 }
 
-// PutResult implements Store.
+// PutResult implements Store. Like the disk layer it fills a changed
+// record's Sum when the caller has not, so every Record a Store returns
+// carries its output's content hash.
 func (m *Memory) PutResult(key, fileHash string, r *Record) error {
+	if r.Changed && r.Sum == "" {
+		r.Sum = HashString(r.Output)
+	}
 	m.lru.Add("r\x00"+key+"\x00"+fileHash, &memEntry{rec: r})
 	if m.disk != nil {
 		return m.disk.PutResult(key, fileHash, r)

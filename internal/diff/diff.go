@@ -46,87 +46,90 @@ func splitLines(s string) []string {
 	return lines
 }
 
-// myers computes the LCS-based edit script.
+// myers computes the greedy Myers shortest edit script. The common prefix
+// is consumed up front — it is exactly the d=0 snake — and each later step
+// snapshots only the diagonals the previous step wrote, v[-(d-1)..d-1], in
+// an exactly sized slice. Memory is therefore D²+O(N+M) rather than a full
+// copy of v per step. The common suffix is
+// deliberately not trimmed: greedy Myers may pick a different one of two
+// equal-cost scripts on the trimmed input, and output must stay stable.
 func myers(a, b []string) []op {
 	n, m := len(a), len(b)
 	max := n + m
 	if max == 0 {
 		return nil
 	}
-	// v[k] = furthest x on diagonal k; store per-step traces for backtrack.
+	p := 0
+	for p < n && p < m && a[p] == b[p] {
+		p++
+	}
 	offset := max
 	v := make([]int, 2*max+1)
+	v[offset] = p
 	var trace [][]int
-	var dFound = -1
-loop:
-	for d := 0; d <= max; d++ {
-		snapshot := make([]int, len(v))
-		copy(snapshot, v)
-		trace = append(trace, snapshot)
-		for k := -d; k <= d; k += 2 {
-			var x int
-			if k == -d || (k != d && v[offset+k-1] < v[offset+k+1]) {
-				x = v[offset+k+1]
-			} else {
-				x = v[offset+k-1] + 1
-			}
-			y := x - k
-			for x < n && y < m && a[x] == b[y] {
-				x++
-				y++
-			}
-			v[offset+k] = x
-			if x >= n && y >= m {
-				dFound = d
-				break loop
+	dFound := 0
+	if p < n || p < m {
+	loop:
+		for d := 1; d <= max; d++ {
+			trace = append(trace, append([]int(nil), v[offset-d+1:offset+d]...))
+			for k := -d; k <= d; k += 2 {
+				var x int
+				if k == -d || (k != d && v[offset+k-1] < v[offset+k+1]) {
+					x = v[offset+k+1]
+				} else {
+					x = v[offset+k-1] + 1
+				}
+				y := x - k
+				for x < n && y < m && a[x] == b[y] {
+					x++
+					y++
+				}
+				v[offset+k] = x
+				if x >= n && y >= m {
+					dFound = d
+					break loop
+				}
 			}
 		}
 	}
-	// Backtrack.
-	var ops []op
+	// Backtrack, filling the script from its end: it holds one op per line
+	// of a plus one per inserted line of b.
+	ops := make([]op, (n+m+dFound)/2)
+	i := len(ops)
+	emit := func(o op) {
+		i--
+		ops[i] = o
+	}
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
-		vprev := trace[d]
+		// vprev[d-1+k] is v[k] as step d found it, for k in [-(d-1), d-1].
+		vprev := trace[d-1]
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vprev[offset+k-1] < vprev[offset+k+1]) {
+		if k == -d || (k != d && vprev[d-1+k-1] < vprev[d-1+k+1]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vprev[offset+prevK]
+		prevX := vprev[d-1+prevK]
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--
 			y--
-			ops = append(ops, op{opEq, x, y})
+			emit(op{opEq, x, y})
 		}
-		if d > 0 {
-			if x == prevX {
-				y--
-				ops = append(ops, op{opIns, x, y})
-			} else {
-				x--
-				ops = append(ops, op{opDel, x, y})
-			}
+		if x == prevX {
+			y--
+			emit(op{opIns, x, y})
+		} else {
+			x--
+			emit(op{opDel, x, y})
 		}
 	}
-	for x > 0 && y > 0 {
-		x--
-		y--
-		ops = append(ops, op{opEq, x, y})
-	}
+	// Back on diagonal 0: what remains is the common prefix.
 	for x > 0 {
 		x--
-		ops = append(ops, op{opDel, x, 0})
-	}
-	for y > 0 {
-		y--
-		ops = append(ops, op{opIns, 0, y})
-	}
-	// reverse
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
+		emit(op{opEq, x, x})
 	}
 	return ops
 }

@@ -160,11 +160,15 @@ type Session struct {
 
 // fileEntry is the resident validation record for one corpus file: the
 // stat under which hash was derived. A run whose fresh stat matches trusts
-// hash (and, through it, the word and AST caches) without reading.
+// hash (and, through it, the word and AST caches) without reading. diff is
+// the file's last non-empty unified diff and diffOf the output it leads
+// to: a sweep that ends on the same output reuses it without reading.
 type fileEntry struct {
-	mtime time.Time
-	size  int64
-	hash  string
+	mtime  time.Time
+	size   int64
+	hash   string
+	diff   string
+	diffOf string
 }
 
 // NewSession builds the resident state for cfg and, when cfg.WatchInterval
@@ -243,10 +247,11 @@ func (s *Session) Close() {
 	}
 }
 
-// Invalidate drops every resident artifact — validation table, parse-tree
-// LRU, and the in-memory cache layer. The disk cache (content-addressed,
-// never stale) is untouched, so the next sweep re-derives hashes but still
-// replays unchanged results from disk.
+// Invalidate drops every resident artifact — validation table (with the
+// diffs it holds), parse-tree LRU, and the in-memory cache layer. The disk
+// cache (content-addressed, never stale) is untouched, so the next sweep
+// re-derives hashes and diffs but still replays unchanged results from
+// disk.
 func (s *Session) Invalidate() {
 	s.mu.Lock()
 	s.files = map[string]*fileEntry{}
@@ -270,7 +275,7 @@ func (s *Session) state(path string, info fs.FileInfo) *batch.FileState {
 	e := s.files[path]
 	s.mu.Unlock()
 	if e != nil && e.mtime.Equal(info.ModTime()) && e.size == info.Size() {
-		st.Hash = e.hash
+		st.Hash, st.Diff, st.DiffOf = e.hash, e.diff, e.diffOf
 		if cf, ok := s.asts.Get(e.hash); ok {
 			st.Parsed = cf
 		}
@@ -291,7 +296,8 @@ func (s *Session) harvest(path string, info fs.FileInfo, st *batch.FileState) {
 		return
 	}
 	s.mu.Lock()
-	s.files[path] = &fileEntry{mtime: info.ModTime(), size: info.Size(), hash: st.Hash}
+	s.files[path] = &fileEntry{mtime: info.ModTime(), size: info.Size(), hash: st.Hash,
+		diff: st.Diff, diffOf: st.DiffOf}
 	s.mu.Unlock()
 }
 
