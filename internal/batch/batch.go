@@ -686,19 +686,19 @@ func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, i
 		return FileResult{Index: idx, Name: f.Name, Err: fmt.Errorf("parsing %s: %w", f.Name, err)}
 	}
 	if r.fn == nil {
-		return applyOneParsed(eng, f, parsed, words, idx)
+		return applyOneParsed(eng, tk, f, parsed, words, idx)
 	}
 	var store cache.Store
 	key := ""
 	if r.resultCacheable() {
 		store, key = r.store, r.key()
 	}
-	if out, ok := r.fn.apply(eng, tk, f.Name, f.Src, parsed, store, key); ok {
+	if out, ok := r.fn.apply(eng, tk, f.Name, f.Src, parsed, &parseShare{}, store, key); ok {
 		return FileResult{
 			Index:        idx,
 			Name:         f.Name,
 			Output:       out.Output,
-			Diff:         diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, out.Output),
+			Diff:         fileDiff(tk, f, out.Output),
 			MatchCount:   out.MatchCount,
 			FuncsMatched: out.Matched,
 			FuncsCached:  out.Cached,
@@ -706,28 +706,36 @@ func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, i
 			Parsed:       true,
 		}
 	}
-	return applyOneParsed(eng, f, parsed, words, idx)
+	return applyOneParsed(eng, tk, f, parsed, words, idx)
 }
 
 // applyOneParsed patches a single parsed file on a reset engine.
-func applyOneParsed(eng *core.Engine, f core.SourceFile, parsed *cast.File, words map[string]bool, idx int) FileResult {
+func applyOneParsed(eng *core.Engine, tk *obs.Track, f core.SourceFile, parsed *cast.File, words map[string]bool, idx int) FileResult {
 	eng.Reset()
 	res, err := eng.RunParsed([]core.ParsedFile{{Name: f.Name, Src: f.Src, File: parsed, Words: words}})
 	if err != nil {
 		return FileResult{Index: idx, Name: f.Name, Err: err}
 	}
-	return fileResult(idx, f, res)
-}
-
-func fileResult(idx int, f core.SourceFile, res *core.Result) FileResult {
+	out := res.Outputs[f.Name]
 	return FileResult{
 		Index:         idx,
 		Name:          f.Name,
-		Output:        res.Outputs[f.Name],
-		Diff:          res.Diffs[f.Name],
+		Output:        out,
+		Diff:          fileDiff(tk, f, out),
 		MatchCount:    res.MatchCount,
 		EnvsTruncated: res.EnvsTruncated,
 		Findings:      res.Findings,
 		Parsed:        true,
 	}
+}
+
+// fileDiff is the unified diff of f's input against out ("" when equal): the
+// engine returns outputs only, and the runner diffs what it emits.
+func fileDiff(tk *obs.Track, f core.SourceFile, out string) string {
+	if out == f.Src {
+		return ""
+	}
+	sp := tk.Start(obs.StageRender).File(f.Name)
+	defer sp.End()
+	return diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, out)
 }

@@ -206,14 +206,27 @@ func (s *segState) matches() int {
 	return 0
 }
 
-// apply runs the patch function-granularly over one parsed file. ok=false
+// parseShare holds what every function-granular member can reuse of one
+// parse: its segmentation and its candidate enumeration. Both describe that
+// tree only, so each new parse starts a new parseShare.
+type parseShare struct {
+	segs    *cast.Segmentation
+	segDone bool
+	cands   *match.Cands
+}
+
+// apply runs the patch function-granularly over one parsed file, taking and
+// filling the parse's shared artifacts in sh. ok=false
 // means the caller must fall back to the ordinary file-level path; no cache
 // record has been written for this file in that case (scan-cache priming
 // aside, which is content-keyed and always sound).
-func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, parsed *cast.File, store cache.Store, key string) (fnOutcome, bool) {
-	ssp := tk.Start(obs.StageSegment).File(name)
-	segs := cast.SegmentFile(parsed)
-	ssp.End()
+func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, parsed *cast.File, sh *parseShare, store cache.Store, key string) (fnOutcome, bool) {
+	if !sh.segDone {
+		ssp := tk.Start(obs.StageSegment).File(name)
+		sh.segs, sh.segDone = cast.SegmentFile(parsed), true
+		ssp.End()
+	}
+	segs := sh.segs
 	if segs == nil || !segs.Aligned() {
 		return fnOutcome{}, false
 	}
@@ -259,10 +272,13 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 	}
 	freshFns := 0
 	if len(fresh) > 0 {
-		// One candidate enumeration serves every segment's matcher; without
-		// it each RunSegment walks the whole AST again, costing k walks for
-		// a k-segment file.
-		cands := match.NewCands(parsed)
+		// One candidate enumeration serves every segment's matcher (and
+		// every member sharing sh); without it each RunSegment walks the
+		// whole AST again, costing k walks for a k-segment file.
+		if sh.cands == nil {
+			sh.cands = match.NewCands(parsed)
+		}
+		cands := sh.cands
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		workers := runtime.GOMAXPROCS(0)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/smpl"
 )
 
@@ -448,5 +449,46 @@ expression list el;
 	}
 	if ps := warm.PerPatch[1]; ps.FuncsCached == 0 {
 		t.Errorf("warm member 1 replayed no functions: %+v", ps)
+	}
+}
+
+// Function-granular members of one campaign share the segmentation and the
+// candidate enumeration of each parse: a file segments once per parse, not
+// once per member, and a member that changes the text starts a fresh pair
+// for the members after it.
+func TestCampaignSharesSegmentation(t *testing.T) {
+	const newCheck = "@n@\nexpression list el;\n@@\n* new_api(el);\n"
+	files := []core.SourceFile{
+		fnBuildFile("a.c", []string{"\tsync_api(x);\n", "\told_api(x, 1);\n"}),
+		fnBuildFile("b.c", []string{"\told_api(x, 2);\n", "\tsync_api(x);\n", "\twork(x);\n"}),
+	}
+	patches := []*smpl.Patch{parseCheckPatch(t), parsePatch(t, renamePatch), parsePatch(t, newCheck)}
+	tr := obs.New()
+	c := NewCampaign(patches, Options{Workers: 1, Tracer: tr})
+	findings := 0
+	if _, err := c.Collect(files, func(fr CampaignFileResult) error {
+		if fr.Err != nil {
+			return fr.Err
+		}
+		for _, o := range fr.Patches {
+			if len(o.MatchCount) == 0 {
+				t.Errorf("%s: member %s did not match", fr.Name, o.Patch)
+			}
+			findings += len(o.Findings)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if findings != 4 {
+		t.Errorf("findings = %d, want 4 (sync_api and new_api in each file)", findings)
+	}
+	counts := map[string]int{}
+	for _, ss := range tr.Profile().Stages {
+		counts[ss.Stage] = ss.Count
+	}
+	// Each file is parsed twice: once as input, once after the rename.
+	if counts[obs.StageParse] != 4 || counts[obs.StageSegment] != 4 {
+		t.Errorf("parse spans %d, segment spans %d, want 4 and 4", counts[obs.StageParse], counts[obs.StageSegment])
 	}
 }

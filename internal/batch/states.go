@@ -127,6 +127,9 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	curIsInput := true
 	curHash := st.Hash
 	parsed := st.Parsed
+	// share goes with parsed: a new parse starts a new one, so it never
+	// describes a tree other than parsed.
+	share := &parseShare{}
 	var words map[string]bool
 
 	fail := func(err error) CampaignFileResult {
@@ -262,7 +265,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				// No later patch could parse the file either; report once.
 				return fail(fmt.Errorf("parsing %s: %w", st.Name, err))
 			}
-			parsed = cf
+			parsed, share = cf, &parseShare{}
 			if curIsInput {
 				st.Parsed, st.ParsedInput = cf, true
 			}
@@ -273,7 +276,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			if c.resultCacheable() {
 				fnStore, fnKey = c.store, cp.key
 			}
-			if out, ok := cp.fn.apply(engines[i], tk, st.Name, cur, parsed, fnStore, fnKey); ok {
+			if out, ok := cp.fn.apply(engines[i], tk, st.Name, cur, parsed, share, fnStore, fnKey); ok {
 				o.MatchCount = out.MatchCount
 				o.Changed = out.Changed
 				o.FuncsMatched = out.Matched

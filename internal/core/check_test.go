@@ -130,6 +130,11 @@ func TestRunSegmentFindingsMatchFileLevel(t *testing.T) {
 		if sr.Escaped {
 			t.Fatalf("segment %d escaped", fn)
 		}
+		// A check rule edits nothing: each function segment comes back
+		// as its raw text, unchanged.
+		if fn >= 0 && (sr.Changed || sr.Text != segs.Funcs[fn].Raw()) {
+			t.Errorf("segment %d: changed=%v, text differs from raw: %v", fn, sr.Changed, sr.Text != segs.Funcs[fn].Raw())
+		}
 		segFindings = append(segFindings, sr.Findings...)
 	}
 	if len(segFindings) != 1 {

@@ -76,7 +76,9 @@ type Result struct {
 	// Outputs maps file name to transformed source (always present, equal
 	// to the input when nothing matched).
 	Outputs map[string]string
-	// Diffs maps file name to a unified diff ("" when unchanged).
+	// Diffs maps file name to a unified diff ("" when unchanged). Run fills
+	// it; RunParsed leaves it nil, because its callers diff against their
+	// own inputs, only for the outputs they emit.
 	Diffs map[string]string
 	// Matched reports which rules matched at least once.
 	Matched map[string]bool
@@ -93,7 +95,8 @@ type Result struct {
 	Findings []analysis.Finding
 }
 
-// Changed lists the names of files whose output differs from the input.
+// Changed lists the names of files whose output differs from the input
+// (from Diffs, so only for Run results).
 func (r *Result) Changed() []string {
 	var out []string
 	for name, d := range r.Diffs {
@@ -334,14 +337,25 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 		}
 		parsed = append(parsed, ParsedFile{Name: f.Name, Src: f.Src, File: cf})
 	}
-	return e.RunParsed(parsed)
+	res, err := e.RunParsed(parsed)
+	if err != nil {
+		return nil, err
+	}
+	dsp := e.trace.Start(obs.StageRender)
+	res.Diffs = make(map[string]string, len(files))
+	for _, f := range files {
+		res.Diffs[f.Name] = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, res.Outputs[f.Name])
+	}
+	dsp.End()
+	return res, nil
 }
 
 // RunParsed is Run over pre-parsed files. The engine never mutates the
 // given trees or their token files — edits accumulate in per-run EditSets
 // and transformed text is re-parsed into fresh trees — so one parse may be
 // shared sequentially across any number of engine runs (and concurrently
-// across engines, since matching only reads it).
+// across engines, since matching only reads it). It returns outputs but no
+// Diffs: a caller that emits a diff computes it from its own input.
 func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	states := make([]*fileState, 0, len(files))
 	for _, f := range files {
@@ -353,8 +367,7 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	}
 
 	res := &Result{
-		Outputs:    map[string]string{},
-		Diffs:      map[string]string{},
+		Outputs:    make(map[string]string, len(files)),
 		Matched:    map[string]bool{},
 		MatchCount: map[string]int{},
 	}
@@ -402,9 +415,6 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	rsp := e.trace.Start(obs.StageRender)
 	for _, st := range states {
 		res.Outputs[st.name] = st.text()
-	}
-	for _, f := range files {
-		res.Diffs[f.Name] = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, res.Outputs[f.Name])
 	}
 	rsp.End()
 	res.EnvCount = len(envs)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
+	"repro/internal/cparse"
 	"repro/internal/smpl"
 )
 
@@ -19,13 +21,42 @@ func mustPatch(t *testing.T, text string) *smpl.Patch {
 
 func TestMultiFileRun(t *testing.T) {
 	p := mustPatch(t, "@r@\nexpression list el;\n@@\n- legacy(el)\n+ modern(el)\n")
-	res, err := New(p, Options{}).Run([]SourceFile{
+	files := []SourceFile{
 		{Name: "a.c", Src: "void f(void){ legacy(1); }\n"},
 		{Name: "b.c", Src: "void g(void){ legacy(2); legacy(3); }\n"},
 		{Name: "c.c", Src: "void h(void){ untouched(); }\n"},
-	})
+	}
+	res, err := New(p, Options{}).Run(files)
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantDiffs := map[string]string{
+		"a.c": "--- a/a.c\n+++ b/a.c\n@@ -1,1 +1,1 @@\n-void f(void){ legacy(1); }\n+void f(void){ modern(1); }\n",
+		"b.c": "--- a/b.c\n+++ b/b.c\n@@ -1,1 +1,1 @@\n-void g(void){ legacy(2); legacy(3); }\n+void g(void){ modern(2); modern(3); }\n",
+		"c.c": "",
+	}
+	if !maps.Equal(res.Diffs, wantDiffs) {
+		t.Errorf("diffs = %q, want %q", res.Diffs, wantDiffs)
+	}
+
+	// RunParsed returns the same outputs and leaves diffing to its caller.
+	var parsed []ParsedFile
+	for _, f := range files {
+		cf, err := cparse.Parse(f.Name, f.Src, cparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, ParsedFile{Name: f.Name, Src: f.Src, File: cf})
+	}
+	pres, err := New(p, Options{}).RunParsed(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pres.Diffs != nil {
+		t.Errorf("RunParsed returned diffs %q", pres.Diffs)
+	}
+	if !maps.Equal(pres.Outputs, res.Outputs) {
+		t.Errorf("RunParsed outputs %q, Run outputs %q", pres.Outputs, res.Outputs)
 	}
 	if res.MatchCount["r"] != 3 {
 		t.Errorf("matches=%d want 3", res.MatchCount["r"])

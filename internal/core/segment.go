@@ -232,14 +232,18 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 
 	if job.Fn >= 0 {
 		seg := &job.Segs.Funcs[job.Fn]
+		if st.ed.Empty() {
+			// Nothing to render: every segment of a check run, and most of
+			// a transforming one.
+			sr.Text = seg.Raw()
+			return sr, nil
+		}
 		if !st.ed.WithinRange(seg.First, seg.Last) {
 			sr.Escaped = true
 			return sr, nil
 		}
 		text, ambiguous := st.ed.ApplyRange(seg.First, seg.Last, seg.Lead)
-		if st.ed.Empty() {
-			text = seg.Raw()
-		} else if ambiguous {
+		if ambiguous {
 			sr.Escaped = true
 			return sr, nil
 		}

@@ -2,6 +2,7 @@ package ctoken
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 )
 
@@ -30,21 +31,58 @@ func (e *LexError) Error() string {
 
 // Lex tokenizes src. The token stream always ends with an EOF token whose WS
 // field holds any trailing whitespace, so File.Render reproduces src exactly.
+//
+// Tokens are appended into a reused scratch buffer and copied out once, so
+// the returned Tokens is a single exact-size allocation that shares nothing
+// with any other call's result.
 func Lex(name, src string, opts Options) (*File, error) {
 	lx := &lexer{name: name, src: src, opts: opts, line: 1, col: 1}
-	f := &File{Name: name, Src: src}
-	// C code averages a handful of bytes per token; sizing up front keeps
-	// append from copying the slice log(n) times.
-	f.Tokens = make([]Token, 0, len(src)/4+8)
+	buf := getScratch(len(src))
+	defer func() { putScratch(buf) }()
 	for {
 		tok, err := lx.next()
 		if err != nil {
 			return nil, err
 		}
-		f.Tokens = append(f.Tokens, tok)
+		buf = append(buf, tok)
 		if tok.Kind == EOF {
-			return f, nil
+			toks := make([]Token, len(buf))
+			copy(toks, buf)
+			return &File{Name: name, Src: src, Tokens: toks}, nil
 		}
+	}
+}
+
+// scratch is a free list of token buffers for Lex. It holds one buffer per
+// P, the most lexes that can run in parallel. It is a channel rather than
+// a sync.Pool because a pool is emptied on every GC cycle, and a cold batch
+// run collects often enough that most lexes would start from an empty
+// buffer again.
+var scratch = make(chan []Token, runtime.GOMAXPROCS(0))
+
+// maxScratch caps the capacity (in tokens) of a buffer kept on the free
+// list, so one huge file does not pin its scratch for the process's life.
+const maxScratch = 1 << 14
+
+func getScratch(srcLen int) []Token {
+	select {
+	case buf := <-scratch:
+		return buf
+	default:
+		// Generated C and CUDA sources average about three bytes per token.
+		return make([]Token, 0, min(srcLen/3+16, maxScratch))
+	}
+}
+
+func putScratch(buf []Token) {
+	if cap(buf) > maxScratch {
+		return
+	}
+	// Drop the token strings so a parked buffer does not keep sources alive.
+	clear(buf)
+	select {
+	case scratch <- buf[:0]:
+	default:
 	}
 }
 

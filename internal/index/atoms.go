@@ -54,7 +54,7 @@ func (x *extractor) add(w string) {
 // verbatim, so each embedded identifier run appears word-bounded in any
 // file the pattern matches.
 func (x *extractor) addRuns(text string) {
-	for _, w := range identWords(text) {
+	for w := range words(text) {
 		x.add(w)
 	}
 }

@@ -139,7 +139,7 @@ func plusInsertions(r *smpl.Rule, metas *smpl.MetaTable, tainted map[string]bool
 	seen := map[string]bool{}
 	for _, blk := range r.Pattern.PlusBlocks {
 		for _, line := range blk.Text {
-			for _, w := range identWords(line) {
+			for w := range words(line) {
 				if seen[w] {
 					continue
 				}

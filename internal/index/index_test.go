@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,10 +49,10 @@ func TestContainsWord(t *testing.T) {
 }
 
 func TestIdentWords(t *testing.T) {
-	got := identWords("num_threads(4) + a->b [x1, 2y]")
+	got := slices.Collect(words("num_threads(4) + a->b [x1, 2y]"))
 	want := []string{"num_threads", "a", "b", "x1"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("identWords = %v, want %v", got, want)
+		t.Errorf("words = %v, want %v", got, want)
 	}
 }
 

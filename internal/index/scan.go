@@ -1,6 +1,9 @@
 package index
 
-import "strings"
+import (
+	"iter"
+	"strings"
+)
 
 // identByte reports whether b can appear inside a C identifier. The table
 // is what makes the scanner a *word* scanner: an atom counts as present
@@ -60,33 +63,32 @@ func ContainsWord(src, w string) bool {
 // by the file's content hash, to serve future runs without touching the
 // file's bytes again.
 func ScanWords(src string) map[string]bool {
-	words := identWords(src)
-	set := make(map[string]bool, len(words))
-	for _, w := range words {
+	set := map[string]bool{}
+	for w := range words(src) {
 		set[w] = true
 	}
 	return set
 }
 
-// identWords extracts every maximal identifier-like word from text: a run
-// of identifier bytes starting with a letter or underscore. Runs starting
-// with a digit are numeric literals, not identifiers, and are dropped.
-func identWords(text string) []string {
-	var out []string
-	for i := 0; i < len(text); {
-		c := text[i]
-		if !identByte[c] {
-			i++
-			continue
+// words yields every maximal identifier-like word of text: a run of
+// identifier bytes starting with a letter or underscore. Runs starting with
+// a digit are numeric literals, not identifiers, and are dropped.
+func words(text string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for i := 0; i < len(text); {
+			c := text[i]
+			if !identByte[c] {
+				i++
+				continue
+			}
+			j := i
+			for j < len(text) && identByte[text[j]] {
+				j++
+			}
+			if (c < '0' || c > '9') && !yield(text[i:j]) {
+				return
+			}
+			i = j
 		}
-		j := i
-		for j < len(text) && identByte[text[j]] {
-			j++
-		}
-		if c < '0' || c > '9' {
-			out = append(out, text[i:j])
-		}
-		i = j
 	}
-	return out
 }

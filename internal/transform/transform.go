@@ -169,26 +169,40 @@ func (e *EditSet) Apply() string {
 // this render had to keep. Callers treat an ambiguous render as "cannot
 // compose" and fall back to whole-file rendering.
 func (e *EditSet) ApplyRange(first, last int, lead string) (out string, ambiguous bool) {
-	if last < first {
-		return "", false
-	}
 	return e.render(first, last, lead, true)
 }
 
 // render is the shared token loop behind Apply and ApplyRange.
 func (e *EditSet) render(first, last int, lead string, override bool) (string, bool) {
+	toks := e.file.Tokens
+	last = min(last, len(toks)-1)
+	if last < first {
+		return "", false
+	}
+	// The output is about the range's source extent plus inserted text
+	// (each line of which also gains an indent and a newline).
+	size := toks[last].Pos.Offset + len(toks[last].Text) - toks[first].Pos.Offset
+	if override {
+		size += len(lead)
+	} else {
+		size += len(toks[first].WS)
+	}
 	byAnchor := map[int][]Insertion{}
 	for _, in := range e.ins {
+		if in.Anchor < first || in.Anchor > last {
+			continue
+		}
 		byAnchor[in.Anchor] = append(byAnchor[in.Anchor], in)
+		size += len(in.Text) + 8
 	}
 	for _, list := range byAnchor {
 		sort.SliceStable(list, func(i, j int) bool { return list[i].seq < list[j].seq })
 	}
 
 	var sb strings.Builder
-	toks := e.file.Tokens
+	sb.Grow(size)
 	prevDeleted := false
-	for i := first; i <= last && i < len(toks); i++ {
+	for i := first; i <= last; i++ {
 		t := toks[i]
 		if i == first && override {
 			// The caller owns the bytes before the range; substitute the
@@ -232,14 +246,10 @@ func (e *EditSet) render(first, last int, lead string, override bool) (string, b
 					sb.WriteString("\n")
 				}
 			}
-			if nl < 0 && tail == ws {
-				// No newline in the anchor's whitespace (e.g. first token of
-				// the file or same-line anchor): the inserted lines already
-				// end with newline; keep original spacing then the token.
-				sb.WriteString(tail)
-			} else {
-				sb.WriteString(tail)
-			}
+			// The inserted lines end with a newline, so the rest of the
+			// whitespace (all of it when it has no newline, e.g. at the
+			// file's first token) keeps the token's own-line spacing.
+			sb.WriteString(tail)
 			ws = "" // consumed
 		}
 
@@ -297,9 +307,15 @@ func cleanup(s string) (out string, ambiguous bool) {
 	if !strings.Contains(s, marker) {
 		return s, false
 	}
-	lines := strings.SplitAfter(s, "\n")
 	var sb strings.Builder
-	for _, line := range lines {
+	sb.Grow(len(s))
+	for rest := s; rest != ""; {
+		line := rest
+		if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
+			line, rest = rest[:nl+1], rest[nl+1:]
+		} else {
+			rest = ""
+		}
 		if strings.Contains(line, marker) {
 			stripped := strings.ReplaceAll(line, marker, "")
 			if strings.TrimSpace(stripped) == "" {
