@@ -1,10 +1,12 @@
-// Package batch applies one semantic patch across many source files with a
-// worker pool, the way spatch is used over a whole codebase. The patch is
+// Package batch applies semantic patches across many source files with a
+// worker pool, the way spatch is used over a whole codebase. One pipeline
+// does the work: a Campaign applies an ordered list of patches per file, and
+// a Runner is the one-patch view over a one-member Campaign. Each patch is
 // compiled once (core.Compile) and the read-only artifacts are shared by
 // per-worker engine instances; per-file results stream to the caller in
 // input order with bounded memory, so a run over a million-file corpus
 // holds only a small window of results at any moment. Before parsing a
-// file, workers consult the patch's required-atom prefilter
+// file, workers consult each patch's required-atom prefilter
 // (internal/index): a file that provably cannot be fired on by any rule is
 // reported as skipped without ever being lexed or parsed, which is where
 // most of the time goes on a mostly-non-matching corpus.
@@ -18,20 +20,12 @@ package batch
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/cache"
-	"repro/internal/cast"
 	"repro/internal/core"
-	"repro/internal/cparse"
-	"repro/internal/diff"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/smpl"
 	"repro/internal/verify"
@@ -146,11 +140,6 @@ func keyFingerprint(o core.Options, verifyOn, hasChecks bool, scriptVers map[str
 	return fp
 }
 
-// verifyOptions maps the engine dialect onto the checker's.
-func verifyOptions(o core.Options) verify.Options {
-	return verify.Options{CPlusPlus: o.CPlusPlus, Std: o.Std, CUDA: o.CUDA}
-}
-
 // storeWarnings converts checker findings to their cache form.
 func storeWarnings(warns []verify.Warning) []cache.Warning {
 	out := make([]cache.Warning, len(warns))
@@ -249,9 +238,9 @@ type FileResult struct {
 	// Findings are the check-rule reports for this file (match-only star
 	// rules and gocci:check rules; empty for pure transform patches).
 	Findings []analysis.Finding
-	// Parsed reports that this run actually parsed the file. False for
-	// prefilter skips and cache replays — the warm-sweep signal `gocci
-	// --check` sums into its "parsed: N" line.
+	// Parsed reports that this run actually parsed the file, whether or not
+	// the parse succeeded. False for prefilter skips and cache replays — the
+	// warm-sweep signal `gocci --check` sums into its "parsed: N" line.
 	Parsed bool
 	// Err is the per-file failure (parse error, script error); other files
 	// in the batch are unaffected.
@@ -290,452 +279,103 @@ type Stats struct {
 	// Findings totals the check-rule reports across all files.
 	Findings int
 	// Parsed counts files this run actually parsed (as opposed to skipping
-	// via the prefilter or replaying from a cache).
+	// via the prefilter or replaying from a cache), including files whose
+	// parse failed: errors are never cached, so every run re-parses them.
 	Parsed int
 }
 
-// Runner applies one compiled patch across file sets.
+// Runner applies one patch across file sets. It is a view over a one-member
+// Campaign: the pool, ordering, memory bounds, caching, prefilter, verify and
+// error contracts are the Campaign's (see Campaign), and each result is
+// flattened to the single member's outcome.
 type Runner struct {
-	compiled *core.Compiled
-	opts     Options
-	scripts  map[string]core.ScriptFunc
-	// scriptVers holds the declared version of each script handler
-	// registered through RegisterScriptVersioned; handlers registered
-	// without a version never appear here, which is what disables the
-	// result cache (see resultCacheable).
-	scriptVers map[string]string
-	// filter is the per-run required-atom prefilter (nil when disabled):
-	// workers consult it on raw file bytes before parsing, and skip files
-	// no rule could possibly fire on.
-	filter *index.Filter
-	// store is the cache the run reads and writes through (nil when
-	// disabled), disk the *cache.Cache opened from Options.CacheDir for
-	// status reporting (nil when the caller supplied Options.Store).
-	store cache.Store
-	disk  *cache.Cache
-	// resultKey is this patch+options+scripts tuple's result-cache key,
-	// computed lazily on first use (keyOnce) because script registration
-	// happens after construction.
-	resultKey string
-	keyOnce   sync.Once
-	patchSrc  string
-	// fn drives function-granular processing when the patch qualifies and
-	// Options.NoFuncCache is off; nil otherwise.
-	fn *fnRunner
-	// cfgErr is a patch/options mismatch caught at construction; it is
-	// reported once per run instead of once per file.
-	cfgErr error
+	c *Campaign
 }
 
 // New compiles the patch once and returns a Runner; the Runner may be used
 // for any number of Run calls, concurrently if desired.
 func New(patch *smpl.Patch, opts Options) *Runner {
-	r := &Runner{
-		compiled:   core.Compile(patch),
-		opts:       opts,
-		scripts:    map[string]core.ScriptFunc{},
-		scriptVers: map[string]string{},
-		patchSrc:   patch.Src,
-		cfgErr:     core.ValidateDefines(patch, opts.Engine.Defines),
-	}
-	if !opts.Engine.NoPrefilter {
-		r.filter = r.compiled.Prefilter.ForDefines(opts.Engine.Defines)
-	}
-	switch {
-	case opts.Store != nil:
-		r.store = opts.Store
-	case opts.CacheDir != "":
-		c, err := cache.Open(opts.CacheDir)
-		if err != nil && r.cfgErr == nil {
-			r.cfgErr = err
-		}
-		if c != nil {
-			// A typed nil must not become a non-nil Store interface.
-			r.disk, r.store = c, c
-		}
-	}
-	if !opts.NoFuncCache {
-		r.fn = newFnRunner(r.compiled, opts.Engine, r.filter)
-	}
-	return r
+	return &Runner{c: NewCampaign([]*smpl.Patch{patch}, opts)}
 }
 
-// Cache returns the disk cache opened from Options.CacheDir, or nil when
-// caching is disabled, its directory was unusable, or the store was
-// supplied via Options.Store. Callers use it to surface rebuild and
-// corruption reports.
-func (r *Runner) Cache() *cache.Cache { return r.disk }
+// Cache returns the disk cache opened from Options.CacheDir (see
+// Campaign.Cache).
+func (r *Runner) Cache() *cache.Cache { return r.c.Cache() }
 
-// RegisterScript installs a native Go handler for the named script rule on
-// every worker engine. Must be called before Run; the handler may be called
-// from multiple goroutines and must be safe for that.
-//
-// Registering any Go handler disables the persistent result cache for this
-// Runner: a native function's behaviour is not captured by the patch text
-// the cache keys on, so replaying results across handler versions would be
-// unsound. (Script rules written in the patch itself cache fine — their
-// code is part of the patch hash.) The scan cache stays active.
+// RegisterScript installs a native Go handler for the named script rule (see
+// Campaign.RegisterScript).
 func (r *Runner) RegisterScript(rule string, fn core.ScriptFunc) *Runner {
-	r.scripts[rule] = fn
+	r.c.RegisterScript(rule, fn)
 	return r
 }
 
-// RegisterScriptVersioned is RegisterScript for handlers that declare a
-// version string covering everything their behaviour depends on (code
-// revision, embedded tables, modes). The version joins the result-cache
-// fingerprint, so — unlike RegisterScript — the persistent result cache
-// stays enabled: bumping the version invalidates every cached outcome the
-// handler helped produce, which restores the soundness RegisterScript has
-// to give up.
+// RegisterScriptVersioned installs a handler that declares a version (see
+// Campaign.RegisterScriptVersioned).
 func (r *Runner) RegisterScriptVersioned(rule, version string, fn core.ScriptFunc) *Runner {
-	r.scripts[rule] = fn
-	r.scriptVers[rule] = version
+	r.c.RegisterScriptVersioned(rule, version, fn)
 	return r
-}
-
-// resultCacheable reports whether per-file results may be persisted and
-// replayed for this runner: a store must be open and every registered Go
-// handler must have declared a version.
-func (r *Runner) resultCacheable() bool {
-	return r.store != nil && len(r.scripts) == len(r.scriptVers)
-}
-
-// key returns this runner's result-cache key, computed on first use so
-// that script handlers registered after construction are reflected in it.
-// Callers must not register further scripts once a Run has started.
-func (r *Runner) key() string {
-	r.keyOnce.Do(func() {
-		r.resultKey = cache.ResultKey(r.patchSrc,
-			keyFingerprint(r.opts.Engine, r.opts.Verify, r.compiled.Patch.HasChecks(), r.scriptVers))
-	})
-	return r.resultKey
-}
-
-// workers resolves the effective pool size for n files.
-func (r *Runner) workers(n int) int {
-	w := r.opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // Run streams per-file results to yield in input order, stopping early if
-// yield returns false. It blocks until delivery finishes and all workers
-// have exited; memory use is bounded by the window size, not the corpus.
+// yield returns false (see Campaign.Run).
 func (r *Runner) Run(files []core.SourceFile, yield func(FileResult) bool) {
-	r.run(len(files), func(i int) (core.SourceFile, error) { return files[i], nil }, yield)
+	r.c.Run(files, func(cr CampaignFileResult) bool { return yield(fileResult(cr)) })
 }
 
-// RunPaths is Run for on-disk files: each worker reads its file from disk
-// just before patching it, so the corpus text is never resident all at
-// once — only the in-flight window is. A file that cannot be read reports
-// the error in its FileResult like any other per-file failure.
+// RunPaths is Run for on-disk files, read lazily inside the pool (see
+// Campaign.RunPaths).
 func (r *Runner) RunPaths(paths []string, yield func(FileResult) bool) {
-	r.run(len(paths), func(i int) (core.SourceFile, error) {
-		b, err := os.ReadFile(paths[i])
-		if err != nil {
-			return core.SourceFile{Name: paths[i]}, err
-		}
-		return core.SourceFile{Name: paths[i], Src: string(b)}, nil
-	}, yield)
-}
-
-// run is the shared pool: get fetches the i-th file inside a worker.
-func (r *Runner) run(n int, get func(int) (core.SourceFile, error), yield func(FileResult) bool) {
-	if r.cfgErr != nil {
-		yield(FileResult{Index: -1, Err: r.cfgErr})
-		return
-	}
-	if n == 0 {
-		return
-	}
-	workers := r.workers(n)
-	window := r.opts.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
-	var wid atomic.Int32
-	runPool(n, workers, window, func() (func(int) FileResult, func()) {
-		eng := core.NewCompiled(r.compiled, r.opts.Engine)
-		for rule, fn := range r.scripts {
-			eng.RegisterScript(rule, fn)
-		}
-		tk := r.opts.Tracer.Track(fmt.Sprintf("worker-%d", wid.Add(1)))
-		eng.SetTrace(tk)
-		wsp := tk.Start(obs.StageWorker)
-		return func(idx int) FileResult { return r.processOne(eng, tk, get, idx) }, wsp.End
-	}, func(fr FileResult) int { return fr.Index }, yield)
-}
-
-// processOne produces the result for one file: replayed from the result
-// cache when possible, skipped when the prefilter rules it out, otherwise
-// parsed and patched — and the outcome persisted for the next run.
-func (r *Runner) processOne(eng *core.Engine, tk *obs.Track, get func(int) (core.SourceFile, error), idx int) FileResult {
-	fsp := tk.Start(obs.StageFile)
-	defer fsp.End()
-	rsp := tk.Start(obs.StageRead)
-	f, err := get(idx)
-	rsp.End()
-	fsp.File(f.Name)
-	if err != nil {
-		return FileResult{Index: idx, Name: f.Name, Err: err}
-	}
-	fileHash := ""
-	if r.resultCacheable() {
-		hsp := tk.Start(obs.StageHash).File(f.Name)
-		fileHash = cache.HashString(f.Src)
-		hsp.End()
-		csp := tk.Start(obs.StageCacheRead).File(f.Name)
-		rec, ok := r.store.Result(r.key(), fileHash)
-		if ok {
-			csp.Outcome(obs.OutcomeHit).End()
-			return replay(idx, f, rec)
-		}
-		csp.Outcome(obs.OutcomeMiss).End()
-	}
-	var fr FileResult
-	pass, words := true, map[string]bool(nil)
-	if r.filter != nil {
-		pass, words = r.mayMatchTraced(tk, f, fileHash)
-	}
-	if !pass {
-		// Provably unmatchable: synthesize the result a full run would
-		// produce, without parsing. (A syntactically broken file that
-		// cannot match is skipped too — its parse error goes unreported,
-		// like spatch under a glimpse index; pass NoPrefilter to surface
-		// such errors.)
-		fr = FileResult{
-			Index: idx, Name: f.Name, Output: f.Src,
-			MatchCount: map[string]int{}, Skipped: true,
-		}
-	} else {
-		fr = r.applyFile(eng, tk, f, idx, words)
-	}
-	if r.opts.Verify && fr.Err == nil && fr.Output != f.Src {
-		vsp := tk.Start(obs.StageVerify).File(f.Name)
-		fr.Warnings = verify.Check(f.Name, f.Src, fr.Output, verifyOptions(r.opts.Engine))
-		vsp.End()
-		if verify.Unsafe(fr.Warnings) {
-			fr.Demoted = true
-			fr.Output = f.Src
-			fr.Diff = ""
-		}
-	}
-	if fileHash != "" && fr.Err == nil {
-		// Errors are never cached: a parse failure is cheap to rediscover
-		// and the user is likely editing the file to fix it.
-		wsp := tk.Start(obs.StageCacheWrite).File(f.Name)
-		r.store.PutResult(r.key(), fileHash, record(fr, f.Src))
-		wsp.End()
-	}
-	return fr
-}
-
-// mayMatchTraced wraps mayMatch in a prefilter span recording the decision.
-func (r *Runner) mayMatchTraced(tk *obs.Track, f core.SourceFile, fileHash string) (bool, map[string]bool) {
-	sp := tk.Start(obs.StagePrefilter).File(f.Name)
-	ok, words := r.mayMatch(f.Src, fileHash)
-	if ok {
-		sp.Outcome(obs.OutcomePass)
-	} else {
-		sp.Outcome(obs.OutcomeSkip)
-	}
-	sp.End()
-	return ok, words
-}
-
-// mayMatch consults the prefilter, answering from the persistent scan cache
-// when one is open (and priming it when not): the file's word set is
-// computed at most once per content hash, ever, instead of one byte scan
-// per required atom per run. fileHash is the content hash when the caller
-// already computed it ("" otherwise), so a file is hashed at most once.
-// The word set is returned too (nil without a store, where the filter
-// tests each atom on the bytes instead), for the engine's rule pruning.
-func (r *Runner) mayMatch(src, fileHash string) (bool, map[string]bool) {
-	if r.store == nil {
-		return r.filter.MayMatch(src), nil
-	}
-	h := fileHash
-	if h == "" {
-		h = cache.HashString(src)
-	}
-	words, ok := r.store.Words(h)
-	if !ok {
-		words = index.ScanWords(src)
-		r.store.PutWords(h, words)
-	}
-	return r.filter.MayMatchWords(words), words
-}
-
-// record captures a completed file result for the cache.
-func record(fr FileResult, input string) *cache.Record {
-	rec := &cache.Record{
-		MatchCount:    fr.MatchCount,
-		Skipped:       fr.Skipped,
-		EnvsTruncated: fr.EnvsTruncated,
-		Warnings:      storeWarnings(fr.Warnings),
-		Demoted:       fr.Demoted,
-		Findings:      storeFindings(fr.Findings),
-	}
-	if fr.Output != input {
-		rec.Changed = true
-		rec.Output = fr.Output
-	}
-	return rec
-}
-
-// replay synthesizes the FileResult a full run would produce from a cached
-// record. The diff is recomputed (it is a pure function of input and
-// output), so replayed results are byte-identical to cold ones.
-func replay(idx int, f core.SourceFile, rec *cache.Record) FileResult {
-	fr := FileResult{
-		Index: idx, Name: f.Name, Output: f.Src,
-		MatchCount: rec.MatchCount, Cached: true,
-		EnvsTruncated: rec.EnvsTruncated,
-		Warnings:      loadWarnings(rec.Warnings),
-		Demoted:       rec.Demoted,
-		Findings:      loadFindings(rec.Findings),
-	}
-	if fr.MatchCount == nil {
-		fr.MatchCount = map[string]int{}
-	}
-	if rec.Changed {
-		fr.Output = rec.Output
-		fr.Diff = diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, fr.Output)
-	}
-	return fr
+	r.c.RunPaths(paths, func(cr CampaignFileResult) bool { return yield(fileResult(cr)) })
 }
 
 // Collect runs the batch and accumulates aggregate statistics, forwarding
 // each result to fn (which may be nil). A non-nil error from fn stops the
 // run and is returned; per-file errors only count in Stats.Errors.
 func (r *Runner) Collect(files []core.SourceFile, fn func(FileResult) error) (Stats, error) {
-	return r.collect(func(yield func(FileResult) bool) { r.Run(files, yield) }, fn)
+	cs, err := r.c.Collect(files, forward(fn))
+	return flatStats(cs), err
 }
 
 // CollectPaths is Collect over on-disk files (see RunPaths).
 func (r *Runner) CollectPaths(paths []string, fn func(FileResult) error) (Stats, error) {
-	return r.collect(func(yield func(FileResult) bool) { r.RunPaths(paths, yield) }, fn)
+	cs, err := r.c.CollectPaths(paths, forward(fn))
+	return flatStats(cs), err
 }
 
-func (r *Runner) collect(run func(func(FileResult) bool), fn func(FileResult) error) (Stats, error) {
-	var st Stats
-	var cbErr error
-	run(func(fr FileResult) bool {
-		if fr.Index < 0 { // configuration error: abort, don't count files
-			cbErr = fr.Err
-			return false
-		}
-		st.Files++
-		switch {
-		case fr.Err != nil:
-			st.Errors++
-		default:
-			if fr.Skipped {
-				st.Skipped++
-			}
-			if fr.Cached {
-				st.Cached++
-			}
-			if m := fr.Matches(); m > 0 {
-				st.Matched++
-				st.Matches += m
-			}
-			if fr.Changed() {
-				st.Changed++
-			}
-			st.FuncsMatched += fr.FuncsMatched
-			st.FuncsCached += fr.FuncsCached
-			if fr.Demoted {
-				st.Demoted++
-			}
-			st.Warnings += len(fr.Warnings)
-			st.Findings += len(fr.Findings)
-			if fr.Parsed {
-				st.Parsed++
-			}
-		}
-		if fn != nil {
-			if err := fn(fr); err != nil {
-				cbErr = err
-				return false
-			}
-		}
-		return true
-	})
-	return st, cbErr
+// forward adapts a FileResult callback to the campaign's result type.
+func forward(fn func(FileResult) error) func(CampaignFileResult) error {
+	if fn == nil {
+		return nil
+	}
+	return func(cr CampaignFileResult) error { return fn(fileResult(cr)) }
 }
 
-// applyFile patches one file, through the function-granular pipeline when
-// this runner has one (falling back to the file-level engine whenever a
-// file or outcome is outside its province), else directly at file level.
-// words is the file's prefilter word set when the caller has one (nil
-// otherwise), handed to the engine for rule pruning.
-func (r *Runner) applyFile(eng *core.Engine, tk *obs.Track, f core.SourceFile, idx int, words map[string]bool) FileResult {
-	psp := tk.Start(obs.StageParse).File(f.Name)
-	parsed, err := cparse.Parse(f.Name, f.Src, cparse.Options{
-		CPlusPlus: r.opts.Engine.CPlusPlus, Std: r.opts.Engine.Std, CUDA: r.opts.Engine.CUDA,
-	})
-	psp.End()
-	if err != nil {
-		// Match the file-level path's error shape (core.Engine.Run).
-		return FileResult{Index: idx, Name: f.Name, Err: fmt.Errorf("parsing %s: %w", f.Name, err)}
+// fileResult flattens a one-member campaign result. A file that failed
+// before its member finished carries no outcome.
+func fileResult(cr CampaignFileResult) FileResult {
+	var o PatchOutcome
+	if len(cr.Patches) == 1 {
+		o = cr.Patches[0]
 	}
-	if r.fn == nil {
-		return applyOneParsed(eng, tk, f, parsed, words, idx)
-	}
-	var store cache.Store
-	key := ""
-	if r.resultCacheable() {
-		store, key = r.store, r.key()
-	}
-	if out, ok := r.fn.apply(eng, tk, f.Name, f.Src, parsed, &parseShare{}, store, key); ok {
-		return FileResult{
-			Index:        idx,
-			Name:         f.Name,
-			Output:       out.Output,
-			Diff:         fileDiff(tk, f, out.Output),
-			MatchCount:   out.MatchCount,
-			FuncsMatched: out.Matched,
-			FuncsCached:  out.Cached,
-			Findings:     out.Findings,
-			Parsed:       true,
-		}
-	}
-	return applyOneParsed(eng, tk, f, parsed, words, idx)
-}
-
-// applyOneParsed patches a single parsed file on a reset engine.
-func applyOneParsed(eng *core.Engine, tk *obs.Track, f core.SourceFile, parsed *cast.File, words map[string]bool, idx int) FileResult {
-	eng.Reset()
-	res, err := eng.RunParsed([]core.ParsedFile{{Name: f.Name, Src: f.Src, File: parsed, Words: words}})
-	if err != nil {
-		return FileResult{Index: idx, Name: f.Name, Err: err}
-	}
-	out := res.Outputs[f.Name]
 	return FileResult{
-		Index:         idx,
-		Name:          f.Name,
-		Output:        out,
-		Diff:          fileDiff(tk, f, out),
-		MatchCount:    res.MatchCount,
-		EnvsTruncated: res.EnvsTruncated,
-		Findings:      res.Findings,
-		Parsed:        true,
+		Index: cr.Index, Name: cr.Name, Output: cr.Output, Diff: cr.Diff, Parsed: cr.Parsed, Err: cr.Err,
+		MatchCount: o.MatchCount, Skipped: o.Skipped, Cached: o.Cached, EnvsTruncated: o.EnvsTruncated,
+		FuncsMatched: o.FuncsMatched, FuncsCached: o.FuncsCached,
+		Warnings: o.Warnings, Demoted: o.Demoted, Findings: o.Findings,
 	}
 }
 
-// fileDiff is the unified diff of f's input against out ("" when equal): the
-// engine returns outputs only, and the runner diffs what it emits.
-func fileDiff(tk *obs.Track, f core.SourceFile, out string) string {
-	if out == f.Src {
-		return ""
+// flatStats flattens one-member campaign statistics; a run stopped by a
+// configuration error has no members.
+func flatStats(cs CampaignStats) Stats {
+	var ps PatchStats
+	if len(cs.PerPatch) == 1 {
+		ps = cs.PerPatch[0]
 	}
-	sp := tk.Start(obs.StageRender).File(f.Name)
-	defer sp.End()
-	return diff.Unified("a/"+f.Name, "b/"+f.Name, f.Src, out)
+	return Stats{
+		Files: cs.Files, Changed: cs.Changed, Errors: cs.Errors, Parsed: cs.Parsed,
+		Matched: ps.Matched, Matches: ps.Matches, Skipped: ps.Skipped, Cached: ps.Cached,
+		FuncsMatched: ps.FuncsMatched, FuncsCached: ps.FuncsCached,
+		Demoted: ps.Demoted, Warnings: ps.Warnings, Findings: ps.Findings,
+	}
 }

@@ -9,14 +9,18 @@
 //
 // Semantics are sequential composition per file: patch i+1 sees the file as
 // patch i left it, exactly as if the patches had been applied by separate
-// runs in order. Files remain independent of each other, so the worker
-// pool, ordering, and memory bounds are those of the single-patch Runner.
+// runs in order. Files remain independent of each other: workers take files
+// from a bounded window and results are delivered in input order, so memory
+// is bounded by the window, not the corpus. A single-patch run is a
+// one-member campaign (Runner), so this file holds the package's only
+// per-file pipeline (processState).
 
 package batch
 
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,23 +57,33 @@ type Campaign struct {
 	patches []*campaignPatch
 	opts    Options
 	scripts map[string]core.ScriptFunc
-	// scriptVers mirrors Runner.scriptVers: declared versions of handlers
-	// registered through RegisterScriptVersioned, keyed into every member's
-	// result-cache key.
+	// scriptVers holds the declared version of each handler registered
+	// through RegisterScriptVersioned, keyed into every member's result-cache
+	// key; handlers registered without a version never appear here, which is
+	// what disables the result cache (see resultCacheable).
 	scriptVers map[string]string
 	keyOnce    sync.Once
 	// store is the cache the run reads and writes through (nil when caching
 	// is disabled); disk is the *cache.Cache opened from Options.CacheDir,
 	// kept separately for status reporting (nil when the store was supplied
 	// by the caller via Options.Store).
-	store  cache.Store
-	disk   *cache.Cache
+	store cache.Store
+	disk  *cache.Cache
+	// bytesFilter reports that a lone member runs without a store: its
+	// prefilter tests the atoms on the bytes rather than on a word set that
+	// would be built only to answer it, and the engine scans lazily if a rule
+	// needs the words.
+	bytesFilter bool
+	// cfgErr is a patch/options mismatch caught at construction; it is
+	// reported once per run instead of once per file.
 	cfgErr error
 }
 
-// NewCampaign compiles every patch once and returns a Campaign. Each define
-// in Options.Engine.Defines must be declared `virtual` by at least one
-// member patch; a patch that does not declare a name simply does not see it
+// NewCampaign compiles every patch once and returns a Campaign; it may be
+// used for any number of runs, concurrently if desired. Each define in
+// Options.Engine.Defines must be declared `virtual` by at least one member
+// patch (by the patch itself, and named in the error, for a one-member
+// campaign); a patch that does not declare a name simply does not see it
 // (running the members as separate per-patch invocations would require
 // per-patch -D sets — the campaign derives them).
 func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
@@ -86,7 +100,11 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 	}
 	for _, d := range opts.Engine.Defines {
 		if !declared[d] {
-			c.cfgErr = fmt.Errorf("define %q is not declared virtual in any patch of the campaign", d)
+			where := "any patch of the campaign"
+			if len(patches) == 1 {
+				where = patches[0].Name
+			}
+			c.cfgErr = fmt.Errorf("define %q is not declared virtual in %s", d, where)
 			return c
 		}
 	}
@@ -112,6 +130,7 @@ func NewCampaign(patches []*smpl.Patch, opts Options) *Campaign {
 		}
 		c.patches = append(c.patches, cp)
 	}
+	c.bytesFilter = c.store == nil && len(c.patches) == 1
 	return c
 }
 
@@ -130,29 +149,42 @@ func intersectDefines(defines, virtuals []string) []string {
 }
 
 // Cache returns the disk cache opened from Options.CacheDir, or nil when
-// caching is disabled or the store was supplied via Options.Store (such a
-// caller reports its own cache status).
+// caching is disabled, its directory was unusable, or the store was supplied
+// via Options.Store (such a caller reports its own cache status). Callers use
+// it to surface rebuild and corruption reports.
 func (c *Campaign) Cache() *cache.Cache { return c.disk }
 
 // RegisterScript installs a native Go handler for the named script rule on
-// every worker engine of every member patch whose rules include it. Like
-// Runner.RegisterScript, registering any handler disables the persistent
-// result cache (the handler's behaviour is not part of the patch hash).
+// every worker engine of every member patch whose rules include it. Must be
+// called before Run; the handler may be called from multiple goroutines and
+// must be safe for that.
+//
+// Registering any Go handler disables the persistent result cache: a native
+// function's behaviour is not captured by the patch text the cache keys on,
+// so replaying results across handler versions would be unsound. (Script
+// rules written in the patch itself cache fine — their code is part of the
+// patch hash.) The scan cache stays active.
 func (c *Campaign) RegisterScript(rule string, fn core.ScriptFunc) *Campaign {
 	c.scripts[rule] = fn
 	return c
 }
 
 // RegisterScriptVersioned is RegisterScript for handlers that declare a
-// version covering everything their behaviour depends on; the version joins
-// every member's result-cache key, keeping the result cache enabled (see
-// Runner.RegisterScriptVersioned).
+// version string covering everything their behaviour depends on (code
+// revision, embedded tables, modes). The version joins every member's
+// result-cache key, so — unlike RegisterScript — the persistent result cache
+// stays enabled: bumping the version invalidates every cached outcome the
+// handler helped produce, which restores the soundness RegisterScript has to
+// give up.
 func (c *Campaign) RegisterScriptVersioned(rule, version string, fn core.ScriptFunc) *Campaign {
 	c.scripts[rule] = fn
 	c.scriptVers[rule] = version
 	return c
 }
 
+// resultCacheable reports whether outcomes may be persisted and replayed: a
+// store must be open and every registered Go handler must have declared a
+// version.
 func (c *Campaign) resultCacheable() bool {
 	return c.store != nil && len(c.scripts) == len(c.scriptVers)
 }
@@ -288,21 +320,29 @@ type CampaignStats struct {
 	PerPatch []PatchStats
 }
 
-// workers mirrors Runner.workers.
+// workers resolves the effective pool size for n files.
 func (c *Campaign) workers(n int) int {
-	r := Runner{opts: c.opts}
-	return r.workers(n)
+	w := c.opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
 }
 
 // Run streams per-file campaign results to yield in input order, stopping
-// early if yield returns false; see Runner.Run for the pool contract.
+// early if yield returns false. It blocks until delivery finishes and all
+// workers have exited; memory use is bounded by the window size, not the
+// corpus.
 func (c *Campaign) Run(files []core.SourceFile, yield func(CampaignFileResult) bool) {
 	c.run(len(files), c.opts.Tracer, func(i int) *FileState {
 		return &FileState{Name: files[i].Name, Src: files[i].Src, Loaded: true}
 	}, yield)
 }
 
-// RunPaths is Run over on-disk files, read lazily inside the pool.
+// RunPaths is Run over on-disk files: each worker reads its file only when
+// processing needs the bytes, so the corpus text is never resident all at
+// once — only the in-flight window is. A file that cannot be read reports the
+// error in its result like any other per-file failure.
 func (c *Campaign) RunPaths(paths []string, yield func(CampaignFileResult) bool) {
 	c.run(len(paths), c.opts.Tracer, func(i int) *FileState {
 		path := paths[i]
@@ -349,7 +389,7 @@ func (c *Campaign) run(n int, tr *obs.Tracer, get func(int) *FileState, yield fu
 		return func(idx int) CampaignFileResult {
 			return c.processState(engines, popts, tk, get(idx), idx)
 		}, wsp.End
-	}, func(fr CampaignFileResult) int { return fr.Index }, yield)
+	}, yield)
 }
 
 // put persists one member outcome when result caching is on, first filling
@@ -379,7 +419,8 @@ func (c *Campaign) verifyOutcome(tk *obs.Track, name, before, after string, o *P
 		return after
 	}
 	sp := tk.Start(obs.StageVerify).File(name)
-	warns := verify.Check(name, before, after, verifyOptions(c.opts.Engine))
+	e := c.opts.Engine
+	warns := verify.Check(name, before, after, verify.Options{CPlusPlus: e.CPlusPlus, Std: e.Std, CUDA: e.CUDA})
 	sp.End()
 	o.Warnings = warns
 	rec.Warnings = storeWarnings(warns)
@@ -396,15 +437,15 @@ func (c *Campaign) verifyOutcome(tk *obs.Track, name, before, after string, o *P
 // error from fn stops the run and is returned; per-file errors only count
 // in CampaignStats.Errors.
 func (c *Campaign) Collect(files []core.SourceFile, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	return c.collectC(func(yield func(CampaignFileResult) bool) { c.Run(files, yield) }, fn)
+	return c.collect(func(yield func(CampaignFileResult) bool) { c.Run(files, yield) }, fn)
 }
 
 // CollectPaths is Collect over on-disk files (see RunPaths).
 func (c *Campaign) CollectPaths(paths []string, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	return c.collectC(func(yield func(CampaignFileResult) bool) { c.RunPaths(paths, yield) }, fn)
+	return c.collect(func(yield func(CampaignFileResult) bool) { c.RunPaths(paths, yield) }, fn)
 }
 
-func (c *Campaign) collectC(run func(func(CampaignFileResult) bool), fn func(CampaignFileResult) error) (CampaignStats, error) {
+func (c *Campaign) collect(run func(func(CampaignFileResult) bool), fn func(CampaignFileResult) error) (CampaignStats, error) {
 	st := CampaignStats{PerPatch: make([]PatchStats, len(c.patches))}
 	for i, cp := range c.patches {
 		st.PerPatch[i].Patch = cp.patch.Name

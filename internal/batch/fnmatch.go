@@ -84,7 +84,6 @@ func newFnRunner(compiled *core.Compiled, engOpts core.Options, filter *index.Fi
 type fnOutcome struct {
 	Output     string
 	MatchCount map[string]int
-	Changed    bool
 	Matched    int // function segments matched fresh
 	Cached     int // function segments replayed from the cache
 	// Findings are the check-rule reports across all segments: fresh ones
@@ -433,7 +432,6 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 	return fnOutcome{
 		Output:     output,
 		MatchCount: mc,
-		Changed:    output != src,
 		Matched:    freshFns,
 		Cached:     cachedFns,
 		Findings:   findings,

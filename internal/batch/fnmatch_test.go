@@ -360,7 +360,8 @@ func TestFuncStoreWriteDiscipline(t *testing.T) {
 	mem := cache.NewMemory(nil, 0)
 	cs := newCountingStore(mem)
 	patch := parsePatch(t, renamePatch)
-	r := New(patch, Options{Workers: 2, Store: cs})
+	opts := Options{Workers: 2, Store: cs}
+	r := New(patch, opts)
 
 	bodies := make([]string, k)
 	for i := range bodies {
@@ -387,7 +388,7 @@ func TestFuncStoreWriteDiscipline(t *testing.T) {
 	// The manifest replays through the store even though k+2 segment entries
 	// were written under the same (patch, options) key.
 	fileHash := cache.HashString(files[0].Src)
-	key := cache.ResultKey(patch.Src, fingerprint(r.opts.Engine))
+	key := cache.ResultKey(patch.Src, fingerprint(opts.Engine))
 	if rec, ok := cs.Result(key, fileHash); !ok || !rec.Changed {
 		t.Fatalf("file manifest unreadable after segment writes: ok=%v rec=%+v", ok, rec)
 	}

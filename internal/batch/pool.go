@@ -2,20 +2,18 @@ package batch
 
 import "sync"
 
-// runPool is the worker-pool core shared by single-patch runs and
-// campaigns: it dispatches indices 0..n-1 to workers, each worker applying
-// the process function its factory returned, and delivers results to yield
-// in increasing index order, stopping early when yield returns false. The
-// factory runs once per worker goroutine, giving each worker private
-// mutable state (its engines) and optionally a teardown hook (may be nil)
-// that runs when the worker goroutine exits — which is how each worker
-// closes its observability track's umbrella span; index extracts a result's
-// input position for the reorder buffer. Memory stays bounded by the
-// window: a file is admitted only when a slot is free, and a slot is
-// returned per delivered result.
-func runPool[T any](n, workers, window int, newWorker func() (func(int) T, func()), index func(T) int, yield func(T) bool) {
+// runPool is the campaign's worker pool: it dispatches indices 0..n-1 to
+// workers, each worker applying the process function its factory returned,
+// and delivers results to yield in increasing index order, stopping early
+// when yield returns false. The factory runs once per worker goroutine,
+// giving each worker private mutable state (its engines) and optionally a
+// teardown hook (may be nil) that runs when the worker goroutine exits —
+// which is how each worker closes its observability track's umbrella span.
+// Memory stays bounded by the window: a file is admitted only when a slot is
+// free, and a slot is returned per delivered result.
+func runPool(n, workers, window int, newWorker func() (func(int) CampaignFileResult, func()), yield func(CampaignFileResult) bool) {
 	jobs := make(chan int)
-	results := make(chan T, workers)
+	results := make(chan CampaignFileResult, workers)
 	stop := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -75,7 +73,7 @@ func runPool[T any](n, workers, window int, newWorker func() (func(int) T, func(
 	}()
 
 	// Reorder buffer: workers finish in any order, delivery is by index.
-	pending := map[int]T{}
+	pending := map[int]CampaignFileResult{}
 	next := 0
 	stopped := false
 	for fr := range results {
@@ -83,7 +81,7 @@ func runPool[T any](n, workers, window int, newWorker func() (func(int) T, func(
 		if stopped {
 			continue
 		}
-		pending[index(fr)] = fr
+		pending[fr.Index] = fr
 		for {
 			out, ok := pending[next]
 			if !ok {

@@ -101,12 +101,12 @@ func (c *Campaign) RunStatesT(states []*FileState, tr *obs.Tracer, yield func(Ca
 
 // CollectStates is Collect over RunStates.
 func (c *Campaign) CollectStates(states []*FileState, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	return c.collectC(func(yield func(CampaignFileResult) bool) { c.RunStates(states, yield) }, fn)
+	return c.collect(func(yield func(CampaignFileResult) bool) { c.RunStates(states, yield) }, fn)
 }
 
 // CollectStatesT is Collect over RunStatesT (per-run tracer).
 func (c *Campaign) CollectStatesT(states []*FileState, tr *obs.Tracer, fn func(CampaignFileResult) error) (CampaignStats, error) {
-	return c.collectC(func(yield func(CampaignFileResult) bool) { c.RunStatesT(states, tr, yield) }, fn)
+	return c.collect(func(yield func(CampaignFileResult) bool) { c.RunStatesT(states, tr, yield) }, fn)
 }
 
 // processState threads one file through every member patch in order. The
@@ -234,11 +234,20 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 			}
 		}
 		if cp.filter != nil {
-			if err := ensureWords(); err != nil {
+			ensure := ensureWords
+			if c.bytesFilter {
+				ensure = ensureCur
+			}
+			if err := ensure(); err != nil {
 				return fail(err)
 			}
 			psp := tk.Start(obs.StagePrefilter).File(st.Name)
-			pass := cp.filter.MayMatchWords(words)
+			var pass bool
+			if c.bytesFilter {
+				pass = cp.filter.MayMatch(cur)
+			} else {
+				pass = cp.filter.MayMatchWords(words)
+			}
 			if pass {
 				psp.Outcome(obs.OutcomePass)
 			} else {
@@ -270,49 +279,35 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				st.Parsed, st.ParsedInput = cf, true
 			}
 		}
+		// The function-granular pipeline takes the member when it qualifies
+		// and the file is in its province; the file-level engine otherwise.
+		out, done := "", false
 		if cp.fn != nil {
 			var fnStore cache.Store
 			fnKey := ""
 			if c.resultCacheable() {
 				fnStore, fnKey = c.store, cp.key
 			}
-			if out, ok := cp.fn.apply(engines[i], tk, st.Name, cur, parsed, share, fnStore, fnKey); ok {
-				o.MatchCount = out.MatchCount
-				o.Changed = out.Changed
-				o.FuncsMatched = out.Matched
-				o.FuncsCached = out.Cached
-				o.Findings = out.Findings
-				rec := &cache.Record{MatchCount: out.MatchCount, Findings: storeFindings(out.Findings)}
-				next := out.Output
-				if out.Changed {
-					rec.Changed = true
-					rec.Output = out.Output
-					next = c.verifyOutcome(tk, st.Name, cur, out.Output, &o, rec)
-				}
-				c.put(tk, st.Name, cp, curHash, rec)
-				if o.Changed {
-					cur, curLoaded, curIsInput = next, true, false
-					curHash, words, parsed = rec.Sum, nil, nil
-				}
-				fr.Patches = append(fr.Patches, o)
-				continue
+			if fo, ok := cp.fn.apply(engines[i], tk, st.Name, cur, parsed, share, fnStore, fnKey); ok {
+				out, done = fo.Output, true
+				o.MatchCount, o.Findings = fo.MatchCount, fo.Findings
+				o.FuncsMatched, o.FuncsCached = fo.Matched, fo.Cached
 			}
 		}
-		eng := engines[i]
-		eng.Reset()
-		res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed, Words: words}})
-		if err != nil {
-			return fail(err)
+		if !done {
+			eng := engines[i]
+			eng.Reset()
+			res, err := eng.RunParsed([]core.ParsedFile{{Name: st.Name, Src: cur, File: parsed, Words: words}})
+			if err != nil {
+				return fail(err)
+			}
+			out = res.Outputs[st.Name]
+			o.MatchCount, o.EnvsTruncated, o.Findings = res.MatchCount, res.EnvsTruncated, res.Findings
 		}
-		out := res.Outputs[st.Name]
-		o.MatchCount = res.MatchCount
-		o.EnvsTruncated = res.EnvsTruncated
 		o.Changed = out != cur
-		o.Findings = res.Findings
-		rec := &cache.Record{MatchCount: res.MatchCount, EnvsTruncated: res.EnvsTruncated, Findings: storeFindings(res.Findings)}
+		rec := &cache.Record{MatchCount: o.MatchCount, EnvsTruncated: o.EnvsTruncated, Findings: storeFindings(o.Findings)}
 		if o.Changed {
-			rec.Changed = true
-			rec.Output = out
+			rec.Changed, rec.Output = true, out
 			out = c.verifyOutcome(tk, st.Name, cur, out, &o, rec)
 		}
 		c.put(tk, st.Name, cp, curHash, rec)
@@ -336,8 +331,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	if err := st.load(); err != nil { // the diff needs the original input
 		return fail(err)
 	}
-	dsp := tk.Start(obs.StageRender).File(st.Name)
 	fr.Output = cur
+	if cur == st.Src {
+		return fr
+	}
+	dsp := tk.Start(obs.StageRender).File(st.Name)
 	fr.Diff = diff.Unified("a/"+st.Name, "b/"+st.Name, st.Src, cur)
 	dsp.End()
 	if fr.Diff != "" {

@@ -48,6 +48,8 @@ type Compiled struct {
 
 // compiledRule caches what runMatch would otherwise rebuild per run.
 type compiledRule struct {
+	// rule is the rule these artifacts were derived from.
+	rule *smpl.Rule
 	// pos is the rule's position in the patch, its key in the prefilter.
 	pos   int
 	metas *smpl.MetaTable
@@ -69,14 +71,19 @@ type compiledRule struct {
 // anchor, where matching is syntactic even under the CFG engine) is an
 // error, not a weaker match. It depends only on the rule and the options,
 // never on the file.
-func (cr *compiledRule) quantifierErr(rule *smpl.Rule, opts Options) error {
-	cfgPrimary := !opts.SeqDots && cr.cfgEligible
-	if (cr.quantTop && !cfgPrimary) || cr.quantNested {
+func (cr *compiledRule) quantifierErr(opts Options) error {
+	if (cr.quantTop && !cr.cfgPrimary(opts)) || cr.quantNested {
 		return fmt.Errorf(
 			"rule %s: `when strict`/`when forall` requires the CFG dots engine, which cannot handle this pattern (quantified dots must be at the top level of a pattern without statement-list metavariables, compound anchors, or --seq-dots)",
-			rule.Name)
+			cr.rule.Name)
 	}
 	return nil
+}
+
+// cfgPrimary reports that the CFG dots engine matches the rule under opts,
+// so it enforces path constraints itself.
+func (cr *compiledRule) cfgPrimary(opts Options) bool {
+	return !opts.SeqDots && cr.cfgEligible
 }
 
 // Compile derives the per-rule matching artifacts from a parsed patch. The
@@ -88,7 +95,7 @@ func Compile(patch *smpl.Patch) *Compiled {
 		rules:     make(map[*smpl.Rule]*compiledRule, len(patch.Rules)),
 	}
 	for i, rule := range patch.Rules {
-		cr := &compiledRule{pos: i, metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
+		cr := &compiledRule{rule: rule, pos: i, metas: smpl.NewMetaTable(rule.Metas), inherits: map[string]string{}}
 		for _, md := range rule.Metas {
 			if md.FromRule != "" {
 				cr.inherits[md.Name] = md.FromRule + "." + md.RemoteName

@@ -509,7 +509,7 @@ func (e *Engine) execScript(rule *smpl.Rule, locals map[string]string) (map[stri
 // runMatch executes a match rule over all files for every environment.
 func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState, res *Result) ([]match.Env, error) {
 	cr := e.compiled.rule(rule)
-	if err := cr.quantifierErr(rule, e.opts); err != nil {
+	if err := cr.quantifierErr(e.opts); err != nil {
 		return nil, err
 	}
 	// Drop the files the rule provably cannot match before paying for their
@@ -540,19 +540,13 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 	preMatches := res.MatchCount[rule.Name]
 	msp := e.trace.Start(obs.StageMatch).Rule(rule.Name)
 	defer func() { msp.Matches(res.MatchCount[rule.Name] - preMatches).End() }()
-	isCheck := rule.IsCheck()
 	preFindings := len(res.Findings)
-	if isCheck {
+	if rule.IsCheck() {
 		defer func() {
 			csp := e.trace.Start(obs.StageCheck).Rule(rule.Name)
 			csp.Matches(len(res.Findings) - preFindings).End()
 		}()
 	}
-	metas := cr.metas
-	// Names this rule inherits: local -> qualified key.
-	inherits := cr.inherits
-	cfgPrimary := !e.opts.SeqDots && cr.cfgEligible
-
 	var out []match.Env
 	anyMatch := false
 
@@ -560,7 +554,7 @@ envLoop:
 	for _, env := range envs {
 		inherited := match.Env{}
 		missing := false
-		for local, qual := range inherits {
+		for local, qual := range cr.inherits {
 			b, ok := env[qual]
 			if !ok {
 				missing = true
@@ -575,60 +569,20 @@ envLoop:
 
 		envMatched := false
 		for _, st := range live {
-			m := &match.Matcher{
-				Pat:        rule.Pattern,
-				Metas:      metas,
-				Code:       st.file,
-				Inherited:  inherited,
-				MaxMatches: e.opts.MaxMatchesPerRule,
-				Cands:      st.candidates(),
-			}
-			if !e.opts.SeqDots {
-				m.CFGs = st.cfg
-			}
-			for _, mt := range m.FindAll() {
-				// The CFG dots engine enforces path constraints while
-				// matching; re-verifying with the anchor-span heuristics of
-				// verifyCTL could wrongly reject its cross-branch and
-				// back-edge matches.
-				if e.opts.UseCTL && !cfgPrimary && !e.verifyCTL(st, rule, &mt) {
-					continue
-				}
-				// Clamp at the cap, not one past it, and stop before the
-				// match transforms anything: the old per-file break kept
-				// the outer loops collecting (and editing) across files
-				// and environments, silently overshooting the cap. The
-				// check sits after the CTL filter so a candidate that
-				// verification would reject anyway cannot raise a
-				// spurious truncation warning.
-				if len(out) >= e.opts.MaxEnvs {
+			for _, mt := range e.matcher(cr, st, inherited).FindAll() {
+				local, r := e.step(cr, st, &mt, inherited, len(out), &res.Findings)
+				if r == stepCapped {
 					res.EnvsTruncated = true
 					break envLoop
 				}
-				// Inherited bindings participate in plus-line substitution
-				// and are re-exported alongside this rule's own bindings.
-				merged := mt.Env.Clone()
-				for name, b := range inherited {
-					if _, bound := merged[name]; !bound {
-						merged[name] = b
-					}
-				}
-				localEnv := e.withFresh(rule, merged)
-				if rule.Pattern.HasTransform {
-					if !e.applyMatch(st, rule.Pattern, &mt, localEnv) {
-						continue // overlapping edit: skip this match
-					}
-					st.dirty = true
-				}
-				if isCheck {
-					res.Findings = append(res.Findings,
-						makeFinding(rule, &mt, localEnv, st.file, st.segmentation(), st.src))
+				if r == stepDropped {
+					continue
 				}
 				envMatched = true
 				anyMatch = true
 				res.MatchCount[rule.Name]++
 				next := env.Clone()
-				for name, b := range localEnv {
+				for name, b := range local {
 					next[rule.Name+"."+name] = b
 				}
 				out = append(out, next)
@@ -655,9 +609,80 @@ envLoop:
 	return dedupEnvs(out), nil
 }
 
-// withFresh extends a match environment with this rule's fresh identifiers.
+// matcher builds the rule's matcher over st's current parse, sharing the
+// parse's candidate enumeration and control-flow graphs.
+func (e *Engine) matcher(cr *compiledRule, st *fileState, inherited match.Env) *match.Matcher {
+	m := &match.Matcher{
+		Pat:        cr.rule.Pattern,
+		Metas:      cr.metas,
+		Code:       st.file,
+		Inherited:  inherited,
+		MaxMatches: e.opts.MaxMatchesPerRule,
+		Cands:      st.candidates(),
+	}
+	if !e.opts.SeqDots {
+		m.CFGs = st.cfg
+	}
+	return m
+}
+
+// stepResult is what step did with one match.
+type stepResult int
+
+const (
+	stepKept    stepResult = iota // the match counts: its edits and finding are recorded
+	stepDropped                   // CTL verification or an overlapping edit rejected it
+	stepCapped                    // the caller already keeps MaxEnvs matches and must stop
+)
+
+// step takes one match of the rule through the sequence both match loops
+// — runMatch over whole files, RunSegment over one segment — share: CTL
+// filter, MaxEnvs cap, environment, edits, finding. kept is the number of
+// matches the caller has kept so far. The returned environment is the
+// match's bindings plus the inherited ones and the rule's fresh identifiers.
+func (e *Engine) step(cr *compiledRule, st *fileState, mt *match.Match, inherited match.Env, kept int, findings *[]analysis.Finding) (match.Env, stepResult) {
+	rule := cr.rule
+	// The CFG dots engine enforces path constraints while matching;
+	// re-verifying with the anchor-span heuristics of verifyCTL could wrongly
+	// reject its cross-branch and back-edge matches.
+	if e.opts.UseCTL && !cr.cfgPrimary(e.opts) && !e.verifyCTL(st, rule, mt) {
+		return nil, stepDropped
+	}
+	// Clamp at the cap, not one past it, and stop before the match transforms
+	// anything. The check sits after the CTL filter so a candidate that
+	// verification would reject anyway cannot raise a spurious truncation,
+	// and before withFresh, which advances the engine's fresh counters.
+	if kept >= e.opts.MaxEnvs {
+		return nil, stepCapped
+	}
+	// Inherited bindings participate in plus-line substitution and are
+	// re-exported alongside this rule's own bindings.
+	env := mt.Env
+	if len(inherited) > 0 {
+		env = env.Clone()
+		for name, b := range inherited {
+			if _, bound := env[name]; !bound {
+				env[name] = b
+			}
+		}
+	}
+	env = e.withFresh(rule, env)
+	if rule.Pattern.HasTransform {
+		if !e.applyMatch(st, rule.Pattern, mt, env) {
+			return nil, stepDropped // overlapping edit: skip this match
+		}
+		st.dirty = true
+	}
+	if rule.IsCheck() {
+		*findings = append(*findings, makeFinding(rule, mt, env, st.file, st.segmentation(), st.src))
+	}
+	return env, stepKept
+}
+
+// withFresh extends a match environment with this rule's fresh identifiers,
+// in a copy; env itself is returned when the rule declares none.
 func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
-	out := env.Clone()
+	out, cloned := env, false
 	for _, md := range rule.Metas {
 		if md.Kind != cast.MetaFreshIdentKind || len(md.Fresh) == 0 {
 			continue
@@ -676,6 +701,9 @@ func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
 			name = fmt.Sprintf("%s_%d", name, n)
 		} else {
 			e.fresh[name] = 1
+		}
+		if !cloned {
+			out, cloned = env.Clone(), true
 		}
 		out[md.Name] = match.NewValueBinding(cast.MetaFreshIdentKind, name)
 	}

@@ -105,7 +105,7 @@ func FunctionLocal(c *Compiled, opts Options) bool {
 			return false
 		}
 	}
-	return cr.quantifierErr(mr, opts) == nil
+	return cr.quantifierErr(opts) == nil
 }
 
 // SegmentJob identifies one segment of one file to match.
@@ -171,7 +171,12 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 		return nil, err
 	}
 	sr := &SegmentResult{}
-	st := &fileState{name: job.Name, src: job.Src, file: job.File, ed: transform.NewEditSet(job.File.Toks), trace: job.Trace}
+	// The segmentation is the job's, so findings anchor against it without
+	// re-segmenting.
+	st := &fileState{
+		name: job.Name, src: job.Src, file: job.File, ed: transform.NewEditSet(job.File.Toks),
+		trace: job.Trace, cands: job.Cands, seg: job.Segs, segDone: true,
+	}
 	sr.Edits = st.ed
 
 	msp := job.Trace.Start(obs.StageMatch).File(job.Name).Rule(rule.Name)
@@ -186,45 +191,25 @@ func (e *Engine) RunSegment(job SegmentJob) (*SegmentResult, error) {
 	}
 	if rule.Depends.Eval(matched) {
 		cr := e.compiled.rule(rule)
-		cfgPrimary := !e.opts.SeqDots && cr.cfgEligible
-		m := &match.Matcher{
-			Pat:   rule.Pattern,
-			Metas: cr.metas,
-			Code:  st.file,
-			Cands: job.Cands,
-		}
-		if !e.opts.SeqDots {
-			m.CFGs = st.cfg
-		}
+		m := e.matcher(cr, st, nil)
 		if job.Fn >= 0 {
 			m.Window = job.Segs.FuncWindow(job.Fn)
 		} else {
 			m.Window = job.Segs.ResidueWindow()
 		}
-		isCheck := rule.IsCheck()
 		for _, mt := range m.FindAll() {
-			if e.opts.UseCTL && !cfgPrimary && !e.verifyCTL(st, rule, &mt) {
-				continue
-			}
-			if sr.Matches >= e.opts.MaxEnvs {
+			_, r := e.step(cr, st, &mt, nil, sr.Matches, &sr.Findings)
+			if r == stepCapped {
 				// Whole-file runs truncate here; per-segment runs cannot
 				// reproduce truncation order, so force the fallback.
 				sr.Escaped = true
 				break
 			}
-			if rule.Pattern.HasTransform {
-				if !e.applyMatch(st, rule.Pattern, &mt, mt.Env) {
-					continue // overlapping edit: skip this match
-				}
-				st.dirty = true
+			if r == stepKept {
+				sr.Matches++
 			}
-			if isCheck {
-				sr.Findings = append(sr.Findings,
-					makeFinding(rule, &mt, mt.Env, job.File, job.Segs, job.Src))
-			}
-			sr.Matches++
 		}
-		if isCheck && len(sr.Findings) > 0 {
+		if len(sr.Findings) > 0 {
 			csp := job.Trace.Start(obs.StageCheck).File(job.Name).Rule(rule.Name)
 			csp.Matches(len(sr.Findings)).End()
 		}

@@ -373,8 +373,8 @@ type FileResult struct {
 	Demoted bool
 	// Findings are the check-rule reports for this file.
 	Findings []Finding
-	// Parsed reports that this run actually parsed the file (false for
-	// prefilter skips and cache replays).
+	// Parsed reports that this run actually parsed the file, even if the
+	// parse failed (false for prefilter skips and cache replays).
 	Parsed bool
 	// Err is this file's failure; other files in the batch still complete.
 	Err error
