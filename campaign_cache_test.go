@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
-	"repro/internal/cparse"
 )
 
 // parityCorpus is the realistic whole-codebase shape: most files cannot
@@ -89,17 +88,17 @@ func TestCacheParity(t *testing.T) {
 		}
 	}
 	// A warm run touches the parser not at all.
-	before := cparse.Parses()
-	if _, err := NewBatchApplier(patch, Options{Workers: 4, CacheDir: dir}).ApplyAllFunc(files, nil); err != nil {
+	again, err := NewBatchApplier(patch, Options{Workers: 4, CacheDir: dir}).ApplyAllFunc(files, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cparse.Parses() - before; got != 0 {
-		t.Errorf("warm cached run parsed %d files, want 0", got)
+	if again.Parses != 0 || again.Rebinds != 0 {
+		t.Errorf("warm cached run made %d full parses and %d rebinds, want none", again.Parses, again.Rebinds)
 	}
 }
 
 // TestCampaignParsesOnce asserts the campaign's headline contract via the
-// parser's instrumentation: N patches over an unchanged corpus parse each
+// run's parse count: N patches over an unchanged corpus parse each
 // file exactly once, where N sequential single-patch runs would parse it N
 // times (minus prefilter skips).
 func TestCampaignParsesOnce(t *testing.T) {
@@ -117,14 +116,13 @@ func TestCampaignParsesOnce(t *testing.T) {
 	}
 	files := parityCorpus(20)
 
-	before := cparse.Parses()
 	st, err := NewCampaign(patches, Options{Workers: 4}).ApplyAllFunc(files, func(fr CampaignFileResult) error {
 		return fr.Err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cparse.Parses() - before; got != int64(len(files)) {
+	if got := st.Parses; got != len(files) || st.Rebinds != 0 {
 		t.Errorf("campaign over %d patches parsed %d times for %d files, want one parse per file",
 			len(patches), got, len(files))
 	}

@@ -197,22 +197,22 @@ func main() {
 	if *stats {
 		switch {
 		case *recurse && len(patches) > 1:
-			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d changed, %d errors in %v\n",
-				g.cst.Files, g.cst.Changed, g.cst.Errors, elapsed.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d changed, %d errors, %s in %v\n",
+				g.cst.Files, g.cst.Changed, g.cst.Errors, parseCounts(g.cst.Parses, g.cst.Rebinds), elapsed.Round(time.Millisecond))
 			for _, ps := range g.cst.PerPatch {
 				fmt.Fprintf(os.Stderr, "gocci:   patch %s: %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d functions matched, %d functions cached%s\n",
 					ps.Patch, ps.Skipped, ps.Cached, ps.Matched, ps.Matches, ps.Changed, ps.FuncsMatched, ps.FuncsCached,
 					verifySuffix(*verify, ps.Demoted, ps.Warnings))
 			}
 		case *recurse:
-			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d errors, %d functions matched, %d functions cached%s in %v\n",
+			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d errors, %d functions matched, %d functions cached%s, %s in %v\n",
 				g.st.Files, g.st.Skipped, g.st.Cached, g.st.Matched, g.st.Matches, g.st.Changed, g.st.Errors, g.st.FuncsMatched, g.st.FuncsCached,
-				verifySuffix(*verify, g.st.Demoted, g.st.Warnings), elapsed.Round(time.Millisecond))
+				verifySuffix(*verify, g.st.Demoted, g.st.Warnings), parseCounts(g.st.Parses, g.st.Rebinds), elapsed.Round(time.Millisecond))
 		default:
 			// One engine run over all files: matches are not attributed
 			// per file, so no per-file "matched" count is reported.
-			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d matches, %d changed in %v\n",
-				g.st.Files, g.st.Matches, g.st.Changed, elapsed.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "gocci: %d files scanned, %d matches, %d changed, %s in %v\n",
+				g.st.Files, g.st.Matches, g.st.Changed, parseCounts(g.st.Parses, g.st.Rebinds), elapsed.Round(time.Millisecond))
 		}
 	}
 	if *stats {
@@ -330,6 +330,11 @@ func (g *gocci) emit(fr sempatch.FileResult) error {
 	return nil
 }
 
+// parseCounts renders the full-parse and rebind counts of a --stats line.
+func parseCounts(parses, rebinds int) string {
+	return fmt.Sprintf("%d full parses, %d rebinds", parses, rebinds)
+}
+
 // verifySuffix renders the demoted/warnings tail of a --stats line; empty
 // unless --verify ran.
 func verifySuffix(on bool, demoted, warnings int) string {
@@ -437,6 +442,8 @@ func (g *gocci) runSingle(patches []*sempatch.Patch, opts sempatch.Options, path
 			g.ruleMatches[pi][rule] += n
 			g.st.Matches += n
 		}
+		g.st.Parses += res.Parses
+		g.st.Rebinds += res.Rebinds
 		g.findings = append(g.findings, res.Findings...)
 		for i, f := range files {
 			outputs[f.Name] = res.Outputs[f.Name]

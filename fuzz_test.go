@@ -10,18 +10,27 @@ package sempatch
 //     every file it segments, splicing the raw pieces reproduces the input
 //     byte for byte (the invariant the incremental cache's correctness
 //     rests on).
+//   - FuzzRebind: renaming identifiers in a parsed file and refreshing the
+//     parse by rebinding (cparse.RebindEdits) either declines or yields
+//     exactly the tokens and tree of a full parse of the edited text.
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/; CI replays them as part
 // of the ordinary test run and additionally fuzzes each target briefly.
 
 import (
+	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cast"
 	"repro/internal/cparse"
+	"repro/internal/ctoken"
 	"repro/internal/smpl"
+	"repro/internal/transform"
 )
 
 func FuzzSmPLParse(f *testing.F) {
@@ -48,20 +57,161 @@ func FuzzSmPLParse(f *testing.F) {
 	})
 }
 
+// cparseSeeds seeds FuzzCParse and, with its on-disk corpus, FuzzRebind.
+var cparseSeeds = []struct {
+	src     string
+	dialect uint8
+}{
+	{"int f(int n) {\n    return n + 1;\n}\n", 0},
+	{"template <typename T> T id(T x) { return x; }\n", 1},
+	{"__global__ void k(float *a) { a[0] = 1.0f; }\nvoid h() { k<<<1, 2>>>(p); }\n", 3},
+	{"#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = b[i];\n", 0},
+}
+
+// fuzzDialect maps a fuzzer byte to parser options.
+func fuzzDialect(dialect uint8) cparse.Options {
+	opts := cparse.Options{
+		CPlusPlus: dialect&1 != 0,
+		CUDA:      dialect&2 != 0,
+	}
+	if opts.CPlusPlus {
+		opts.Std = 23
+	}
+	return opts
+}
+
 func FuzzCParse(f *testing.F) {
-	f.Add("int f(int n) {\n    return n + 1;\n}\n", uint8(0))
-	f.Add("template <typename T> T id(T x) { return x; }\n", uint8(1))
-	f.Add("__global__ void k(float *a) { a[0] = 1.0f; }\nvoid h() { k<<<1, 2>>>(p); }\n", uint8(3))
-	f.Add("#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = b[i];\n", uint8(0))
+	for _, s := range cparseSeeds {
+		f.Add(s.src, s.dialect)
+	}
 	f.Fuzz(func(t *testing.T, src string, dialect uint8) {
-		opts := cparse.Options{
-			CPlusPlus: dialect&1 != 0,
-			CUDA:      dialect&2 != 0,
+		_, _ = cparse.Parse("fuzz.c", src, fuzzDialect(dialect)) // must not panic
+	})
+}
+
+// FuzzRebind renames identifiers of a parsed file the way a rule's minus
+// and plus lines do — one token at a time, or a whole same-line token run
+// retyped with its renames — to names drawn from the file, keywords,
+// encoding prefixes and variants of the old name, and swaps directive
+// lines for other directives (continued, chevron-bearing or not one at
+// all). The rebind must decline
+// or equal a full parse of the edited text, token for token and node for
+// node. Seeds are FuzzCParse's, in-code and on disk.
+func FuzzRebind(f *testing.F) {
+	for _, s := range cparseSeeds {
+		f.Add(s.src, s.dialect, uint64(1))
+	}
+	paths, _ := filepath.Glob("testdata/fuzz/FuzzCParse/*")
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
 		}
-		if opts.CPlusPlus {
-			opts.Std = 23
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if len(lines) != 3 {
+			f.Fatalf("%s: unexpected corpus layout", path)
 		}
-		_, _ = cparse.Parse("fuzz.c", src, opts) // must not panic
+		src, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+		d, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "byte("), ")"))
+		if err1 != nil || err2 != nil || len(d) != 1 {
+			f.Fatalf("%s: unreadable corpus entry", path)
+		}
+		for pick := uint64(1); pick <= 3; pick++ {
+			f.Add(src, d[0], pick)
+		}
+	}
+	f.Add("#include <cuda.h>\nvoid f(cudaStream_t s) {\n#pragma omp parallel\n\tcudaFree(p);\n\tx = cudaMemcpy(a, b, n) + CUDA_OK;\n}\n", uint8(2), uint64(7))
+	f.Fuzz(func(t *testing.T, src string, dialect uint8, pick uint64) {
+		opts := fuzzDialect(dialect)
+		file, err := cparse.Parse("fuzz.c", src, opts)
+		if err != nil {
+			return
+		}
+		toks := file.Toks.Tokens
+		var names []string
+		for _, tk := range toks {
+			if tk.Kind == ctoken.Ident {
+				names = append(names, tk.Text)
+			}
+		}
+		if len(names) == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(pick)))
+		rename := func(old string) string {
+			switch rng.Intn(8) {
+			case 0:
+				return names[rng.Intn(len(names))]
+			case 1:
+				return []string{"int", "struct", "if", "sizeof", "return", "__global__", "typedef"}[rng.Intn(7)]
+			case 2:
+				return []string{"__attribute__", "L", "u8", "R"}[rng.Intn(4)]
+			case 3:
+				return old + "_t"
+			case 4:
+				return "_" + old
+			case 5:
+				return "x"
+			default:
+				return old + "2"
+			}
+		}
+		directives := []string{"#include <hip/hip_runtime.h>", "#pragma omp parallel for", "#pragma once",
+			"#define N 8", "#define C \\", "#define K k<<<1, 1>>>", "#if 0", "# include \"x.h\"", "int not_a_directive;"}
+		ed := transform.NewEditSet(file.Toks)
+		for i := 0; i < len(toks)-1; i++ {
+			if toks[i].Kind == ctoken.PP && rng.Intn(3) == 0 {
+				ed.DeleteRange(i, i)
+				ed.Insert(i, transform.BeforeOwnLine, directives[rng.Intn(len(directives))])
+				continue
+			}
+			if toks[i].Kind != ctoken.Ident || rng.Intn(3) != 0 {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				ed.DeleteRange(i, i)
+				ed.Insert(i, transform.Inline, rename(toks[i].Text))
+				continue
+			}
+			// Retype a run of up to four tokens on the line, renaming its
+			// identifiers.
+			j := i
+			for j+1 < len(toks)-1 && j-i < 3 && !strings.Contains(toks[j+1].WS, "\n") {
+				j++
+			}
+			var sb strings.Builder
+			for k := i; k <= j; k++ {
+				if k > i {
+					sb.WriteString(toks[k].WS)
+				}
+				if toks[k].Kind == ctoken.Ident && rng.Intn(2) == 0 {
+					sb.WriteString(rename(toks[k].Text))
+				} else {
+					sb.WriteString(toks[k].Text)
+				}
+			}
+			ed.DeleteRange(i, j)
+			ed.Insert(i, transform.Inline, sb.String())
+			i = j
+		}
+		if ed.Empty() {
+			return
+		}
+		text := ed.Apply()
+		got, ok := cparse.RebindEdits(file, ed, text, opts)
+		if !ok {
+			return
+		}
+		want, err := cparse.Parse("fuzz.c", text, opts)
+		if err != nil {
+			t.Fatalf("rebound a text that does not parse: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(got.Toks.Tokens, want.Toks.Tokens) {
+			t.Fatalf("rebound tokens differ from a full lex of\n%s", text)
+		}
+		if !reflect.DeepEqual(got.Decls, want.Decls) {
+			t.Fatalf("rebound tree differs from a full parse of\n%s\ngot:\n%s\nwant:\n%s", text, cast.Dump(got), cast.Dump(want))
+		}
 	})
 }
 

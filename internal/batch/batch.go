@@ -282,6 +282,10 @@ type Stats struct {
 	// via the prefilter or replaying from a cache), including files whose
 	// parse failed: errors are never cached, so every run re-parses them.
 	Parsed int
+	// Parses counts the run's full parses, re-parses after edits included;
+	// Rebinds counts the re-parses it replaced by rebinding the previous
+	// tree to edits that keep every token's kind.
+	Parses, Rebinds int
 }
 
 // Runner applies one patch across file sets. It is a view over a one-member
@@ -374,6 +378,7 @@ func flatStats(cs CampaignStats) Stats {
 	}
 	return Stats{
 		Files: cs.Files, Changed: cs.Changed, Errors: cs.Errors, Parsed: cs.Parsed,
+		Parses: cs.Parses, Rebinds: cs.Rebinds,
 		Matched: ps.Matched, Matches: ps.Matches, Skipped: ps.Skipped, Cached: ps.Cached,
 		FuncsMatched: ps.FuncsMatched, FuncsCached: ps.FuncsCached,
 		Demoted: ps.Demoted, Warnings: ps.Warnings, Findings: ps.Findings,

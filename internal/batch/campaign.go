@@ -272,6 +272,11 @@ type CampaignFileResult struct {
 	// least once; transforms can force re-parses). False when every member
 	// replayed, skipped, or was ruled out without parsing.
 	Parsed bool
+	// Parses counts the full parses the sweep made of the file's texts: the
+	// input, re-parses between members, and the engine's re-parses after
+	// edits. Rebinds counts the re-parses it replaced by rebinding the
+	// previous tree to edits that keep every token's kind.
+	Parses, Rebinds int
 	// Err is the per-file failure; other files still complete. A parse
 	// failure aborts the file's remaining patches (they could not parse it
 	// either).
@@ -313,11 +318,13 @@ type PatchStats struct {
 
 // CampaignStats aggregates a completed campaign run.
 type CampaignStats struct {
-	Files    int // files processed
-	Changed  int // files where the final output differs from the input
-	Errors   int // files that failed
-	Parsed   int // files the sweep actually parsed (vs replayed/skipped)
-	PerPatch []PatchStats
+	Files   int // files processed
+	Changed int // files where the final output differs from the input
+	Errors  int // files that failed
+	Parsed  int // files the sweep actually parsed (vs replayed/skipped)
+	// Parses and Rebinds total the per-file counts (CampaignFileResult).
+	Parses, Rebinds int
+	PerPatch        []PatchStats
 }
 
 // workers resolves the effective pool size for n files.
@@ -460,6 +467,8 @@ func (c *Campaign) collect(run func(func(CampaignFileResult) bool), fn func(Camp
 		if fr.Parsed {
 			st.Parsed++
 		}
+		st.Parses += fr.Parses
+		st.Rebinds += fr.Rebinds
 		switch {
 		case fr.Err != nil:
 			st.Errors++

@@ -127,6 +127,30 @@ func TestCampaignStats(t *testing.T) {
 	}
 }
 
+// A member whose edits keep every token's kind hands the next member a
+// rebound parse of its output instead of leaving it a full parse; the
+// per-run counts say which happened.
+func TestCampaignHandsRebindToNextMember(t *testing.T) {
+	files := campaignCorpus(9) // files 0,3,6 call old_api
+	c := NewCampaign(parseAll(t, []string{renamePatch, secondPatch, unrelatedPatch}), Options{Workers: 2})
+	var perFile int
+	st, err := c.Collect(files, func(fr CampaignFileResult) error {
+		perFile += fr.Parses
+		return fr.Err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the three old_api files pass a prefilter. Each is parsed once,
+	// for patch 1; patch 2 runs on the rebound output.
+	if st.Parses != 3 || st.Rebinds != 3 || perFile != st.Parses {
+		t.Errorf("parses=%d rebinds=%d (per-file parses %d), want 3 full parses and 3 rebinds", st.Parses, st.Rebinds, perFile)
+	}
+	if flat := flatStats(st); flat.Parses != st.Parses || flat.Rebinds != st.Rebinds {
+		t.Errorf("flattened stats lost the parse counts: %+v", flat)
+	}
+}
+
 // A parse failure aborts that file's remaining patches and reports one
 // error; other files complete.
 func TestCampaignParseFailure(t *testing.T) {

@@ -31,7 +31,8 @@ import (
 	"repro/internal/transform"
 )
 
-// Package-level instrumentation, mirroring cparse.Parses: cumulative counts
+// Package-level instrumentation (process-global, unlike the per-run parse
+// counts on CampaignStats): cumulative counts
 // of function segments matched fresh, replayed from the cache, and ruled
 // out by the per-function prefilter. The parity and fuzz tests read deltas
 // to assert that a warm run re-matched exactly the edited function.
@@ -90,6 +91,10 @@ type fnOutcome struct {
 	// carry current positions, replayed ones are re-anchored to the current
 	// parse from their segment-relative token offsets.
 	Findings []analysis.Finding
+	// Edits, when non-nil, are the merged per-segment edits against the
+	// input parse's tokens, and Output is their render: a cold run's output
+	// may then be parsed by rebinding (cparse.RebindEdits).
+	Edits *transform.EditSet
 }
 
 // storeFnFindings strips a segment's findings to their position-independent
@@ -365,6 +370,7 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 
 	output := spliced
 	verified := true
+	var edits *transform.EditSet
 	if cachedFns == 0 && states[n].rec == nil {
 		// Fully cold: the whole-file render of the merged per-segment edits
 		// is the ground truth (it is exactly what a file-level run applies).
@@ -378,7 +384,7 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 		}
 		output = src
 		if !merged.Empty() {
-			output = merged.Apply()
+			output, edits = merged.Apply(), merged
 		}
 		verified = spliced == output
 	}
@@ -435,6 +441,7 @@ func (r *fnRunner) apply(eng *core.Engine, tk *obs.Track, name, src string, pars
 		Matched:    freshFns,
 		Cached:     cachedFns,
 		Findings:   findings,
+		Edits:      edits,
 	}, true
 }
 

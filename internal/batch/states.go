@@ -19,6 +19,7 @@ import (
 	"repro/internal/diff"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/transform"
 )
 
 // FileState is one corpus file presented to a campaign run, carrying
@@ -109,6 +110,20 @@ func (c *Campaign) CollectStatesT(states []*FileState, tr *obs.Tracer, fn func(C
 	return c.collect(func(yield func(CampaignFileResult) bool) { c.RunStatesT(states, tr, yield) }, fn)
 }
 
+// rebindTraced refreshes f, the parse the edits ed address, to text, their
+// render, by a rebind; the parse span records whether it did.
+func rebindTraced(tk *obs.Track, name string, f *cast.File, ed *transform.EditSet, text string, popts cparse.Options) (*cast.File, bool) {
+	sp := tk.Start(obs.StageParse).File(name)
+	cf, ok := cparse.RebindEdits(f, ed, text, popts)
+	if ok {
+		sp.Outcome(obs.OutcomeRebind)
+	} else {
+		sp.Outcome(obs.OutcomeDeclined)
+	}
+	sp.End()
+	return cf, ok
+}
+
 // processState threads one file through every member patch in order. The
 // expensive artifacts — the content hash, the identifier-word set, and the
 // parse tree — are derived from the *current* text at most once each,
@@ -130,6 +145,11 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 	// share goes with parsed: a new parse starts a new one, so it never
 	// describes a tree other than parsed.
 	share := &parseShare{}
+	// pending, when set, may produce cur's parse without a full parse: from
+	// the engine run that left cur (core.Result.Tree), or by rebinding the
+	// function-granular run's edits (cparse.RebindEdits). It reports
+	// whether it rebound.
+	var pending func() (*cast.File, bool)
 	var words map[string]bool
 
 	fail := func(err error) CampaignFileResult {
@@ -227,7 +247,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 					// layer verified it on read), so the next member's
 					// lookup needs no re-hash.
 					cur, curLoaded, curIsInput = rec.Output, true, false
-					curHash, words, parsed = rec.Sum, nil, nil
+					curHash, words, parsed, pending = rec.Sum, nil, nil, nil
 				}
 				fr.Patches = append(fr.Patches, o)
 				continue
@@ -265,11 +285,19 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		if err := ensureCur(); err != nil {
 			return fail(err)
 		}
+		if parsed == nil && pending != nil {
+			var rebound bool
+			if parsed, rebound = pending(); rebound {
+				fr.Rebinds++
+			}
+			pending, share = nil, &parseShare{}
+		}
 		if parsed == nil {
 			sp := tk.Start(obs.StageParse).File(st.Name)
 			cf, err := cparse.Parse(st.Name, cur, popts)
 			sp.End()
 			fr.Parsed = true
+			fr.Parses++
 			if err != nil {
 				// No later patch could parse the file either; report once.
 				return fail(fmt.Errorf("parsing %s: %w", st.Name, err))
@@ -282,6 +310,7 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		// The function-granular pipeline takes the member when it qualifies
 		// and the file is in its province; the file-level engine otherwise.
 		out, done := "", false
+		var tree func() (*cast.File, bool)
 		if cp.fn != nil {
 			var fnStore cache.Store
 			fnKey := ""
@@ -292,6 +321,10 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				out, done = fo.Output, true
 				o.MatchCount, o.Findings = fo.MatchCount, fo.Findings
 				o.FuncsMatched, o.FuncsCached = fo.Matched, fo.Cached
+				if fo.Edits != nil {
+					base := parsed
+					tree = func() (*cast.File, bool) { return rebindTraced(tk, st.Name, base, fo.Edits, fo.Output, popts) }
+				}
 			}
 		}
 		if !done {
@@ -302,6 +335,9 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 				return fail(err)
 			}
 			out = res.Outputs[st.Name]
+			tree = func() (*cast.File, bool) { return res.Tree(st.Name) }
+			fr.Parses += res.Parses
+			fr.Rebinds += res.Rebinds
 			o.MatchCount, o.EnvsTruncated, o.Findings = res.MatchCount, res.EnvsTruncated, res.Findings
 		}
 		o.Changed = out != cur
@@ -313,7 +349,8 @@ func (c *Campaign) processState(engines []*core.Engine, popts cparse.Options, tk
 		c.put(tk, st.Name, cp, curHash, rec)
 		if o.Changed {
 			cur, curLoaded, curIsInput = out, true, false
-			curHash, words, parsed = rec.Sum, nil, nil
+			// The tree is asked for only if a later member needs the parse.
+			curHash, words, parsed, pending = rec.Sum, nil, nil, tree
 		}
 		fr.Patches = append(fr.Patches, o)
 	}

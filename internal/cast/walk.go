@@ -161,6 +161,9 @@ func Walk(n Node, v Visitor) {
 	}
 }
 
+// IsNil reports whether n is nil or a typed nil inside the Node interface.
+func IsNil(n Node) bool { return n == nil || isNilNode(n) }
+
 // isNilNode reports whether n is a typed nil inside the Node interface.
 func isNilNode(n Node) bool {
 	switch x := n.(type) {

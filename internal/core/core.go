@@ -12,8 +12,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -21,6 +21,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/cparse"
+	"repro/internal/ctoken"
 	"repro/internal/diff"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -93,6 +94,42 @@ type Result struct {
 	// Findings are the reports emitted by match-only check rules (star-line
 	// bodies or gocci:check headers), deduplicated, in emission order.
 	Findings []analysis.Finding
+	// Parses counts the full parses this run made: the inputs Run parses
+	// and the re-parses of edited text before a later rule matches it.
+	// Rebinds counts the re-parses it replaced by rebinding the previous
+	// tree to edits that keep every token's kind (cparse.RebindEdits).
+	Parses, Rebinds int
+
+	// final holds each file's last state, for Tree.
+	final []*fileState
+	popts cparse.Options
+}
+
+// Tree returns a parse of the named file's output text when one is
+// available without a full parse: the run's last parse when no edit is
+// pending on it, or a rebind of that parse to the pending edits when they
+// keep every token's kind. rebound reports that Tree made a rebind (it
+// records a parse span with the rebind outcome); f is nil when only a full
+// parse could produce the tree, and for files the run did not hold. A
+// campaign hands the tree to its next member, which would otherwise parse
+// the output again.
+func (r *Result) Tree(name string) (f *cast.File, rebound bool) {
+	for _, st := range r.final {
+		if st.name != name {
+			continue
+		}
+		if !st.dirty {
+			return st.file, false
+		}
+		sp := st.trace.Start(obs.StageParse).File(st.name)
+		if !st.rebind(r.Outputs[name], r.popts) {
+			sp.Outcome(obs.OutcomeDeclined).End()
+			return nil, false
+		}
+		sp.Outcome(obs.OutcomeRebind).End()
+		return st.file, true
+	}
+	return nil, false
 }
 
 // Changed lists the names of files whose output differs from the input
@@ -341,6 +378,7 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Parses += len(files)
 	dsp := e.trace.Start(obs.StageRender)
 	res.Diffs = make(map[string]string, len(files))
 	for _, f := range files {
@@ -351,11 +389,12 @@ func (e *Engine) Run(files []SourceFile) (*Result, error) {
 }
 
 // RunParsed is Run over pre-parsed files. The engine never mutates the
-// given trees or their token files — edits accumulate in per-run EditSets
-// and transformed text is re-parsed into fresh trees — so one parse may be
-// shared sequentially across any number of engine runs (and concurrently
-// across engines, since matching only reads it). It returns outputs but no
-// Diffs: a caller that emits a diff computes it from its own input.
+// given trees or their token files — edits accumulate in per-run EditSets,
+// transformed text is re-parsed into fresh trees, and a rebind copies every
+// node and token it changes — so one parse may be shared sequentially
+// across any number of engine runs (and concurrently across engines, since
+// matching only reads it). It returns outputs but no Diffs: a caller that
+// emits a diff computes it from its own input.
 func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 	states := make([]*fileState, 0, len(files))
 	for _, f := range files {
@@ -370,6 +409,8 @@ func (e *Engine) RunParsed(files []ParsedFile) (*Result, error) {
 		Outputs:    make(map[string]string, len(files)),
 		Matched:    map[string]bool{},
 		MatchCount: map[string]int{},
+		final:      states,
+		popts:      e.parseOpts(),
 	}
 	// Virtual rules: dependency atoms set by the caller.
 	if err := ValidateDefines(e.patch, e.opts.Defines); err != nil {
@@ -534,7 +575,7 @@ func (e *Engine) runMatch(rule *smpl.Rule, envs []match.Env, states []*fileState
 	// rather than eagerly after each transformation — so the output of the
 	// last rule that can fire never needs to re-parse at all (it may use
 	// constructs beyond our C++ subset, e.g. injected library macros).
-	if err := e.reparse(live); err != nil {
+	if err := e.reparse(live, res); err != nil {
 		return nil, err
 	}
 	preMatches := res.MatchCount[rule.Name]
@@ -710,28 +751,108 @@ func (e *Engine) withFresh(rule *smpl.Rule, env match.Env) match.Env {
 	return out
 }
 
-// reparse refreshes dirty files so subsequent rules see transformed code.
-func (e *Engine) reparse(states []*fileState) error {
+// reparse refreshes dirty files so subsequent rules see transformed code:
+// by a rebind when the pending edits keep every token's kind, by a full
+// parse otherwise.
+func (e *Engine) reparse(states []*fileState, res *Result) error {
+	popts := e.parseOpts()
 	for _, st := range states {
 		if !st.dirty {
 			continue
 		}
 		newSrc := st.text()
 		sp := e.trace.Start(obs.StageParse).File(st.name)
-		cf, err := cparse.Parse(st.name, newSrc, e.parseOpts())
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("reparsing %s after transformation: %w\nsource:\n%s", st.name, err, newSrc)
+		if st.rebind(newSrc, popts) {
+			sp.Outcome(obs.OutcomeRebind).End()
+			res.Rebinds++
+			continue
 		}
-		st.src = newSrc
-		st.file = cf
-		st.ed = transform.NewEditSet(cf.Toks)
-		st.dirty = false
-		st.cfgs = nil // graphs and candidates describe the old tree
-		st.cands = nil
-		st.seg, st.segDone = nil, false
+		cf, err := cparse.Parse(st.name, newSrc, popts)
+		sp.End()
+		res.Parses++
+		if err != nil {
+			return reparseErr(st.name, newSrc, err)
+		}
+		st.install(newSrc, cf, false)
 	}
 	return nil
+}
+
+// rebind refreshes st's parse to text, its pending edits applied, without a
+// full parse (cparse.RebindEdits). It reports false, changing nothing, when
+// the edits do not keep every token's kind.
+func (st *fileState) rebind(text string, popts cparse.Options) bool {
+	cf, ok := cparse.RebindEdits(st.file, st.ed, text, popts)
+	if ok {
+		st.install(text, cf, true)
+	}
+	return ok
+}
+
+// install makes cf, the parse of src, the file's current parse. The
+// artifacts derived from the old tree are dropped, except that with
+// keepCFGs the control-flow graphs of functions cf shares with it survive:
+// a graph is a function of its *FuncDef alone, and a rebind shares every
+// function it did not touch.
+func (st *fileState) install(src string, cf *cast.File, keepCFGs bool) {
+	var cfgs map[*cast.FuncDef]*cfg.Graph
+	if keepCFGs && len(st.cfgs) > 0 {
+		for _, d := range cf.Decls {
+			if fd, ok := d.(*cast.FuncDef); ok && st.cfgs[fd] != nil {
+				if cfgs == nil {
+					cfgs = map[*cast.FuncDef]*cfg.Graph{}
+				}
+				cfgs[fd] = st.cfgs[fd]
+			}
+		}
+	}
+	st.src = src
+	st.file = cf
+	st.ed = transform.NewEditSet(cf.Toks)
+	st.dirty = false
+	st.cfgs = cfgs
+	st.cands = nil
+	st.seg, st.segDone = nil, false
+}
+
+// reparseErr reports a transformed text that does not parse by the parse
+// error's position and the offending line, not the whole text.
+func reparseErr(name, src string, err error) error {
+	line := 0
+	var pe *cparse.ParseError
+	var le *ctoken.LexError
+	switch {
+	case errors.As(err, &pe):
+		line = pe.Pos.Line
+	case errors.As(err, &le):
+		line = le.Pos.Line
+	}
+	text, ok := lineOf(src, line)
+	if !ok {
+		return fmt.Errorf("reparsing %s after transformation: %w", name, err)
+	}
+	return fmt.Errorf("reparsing %s after transformation: %w\n\tline %d: %s", name, err, line, text)
+}
+
+// lineOf returns the 1-based line n of src, cut to 200 bytes.
+func lineOf(src string, n int) (string, bool) {
+	if n < 1 {
+		return "", false
+	}
+	for ; n > 1; n-- {
+		i := strings.IndexByte(src, '\n')
+		if i < 0 {
+			return "", false
+		}
+		src = src[i+1:]
+	}
+	if i := strings.IndexByte(src, '\n'); i >= 0 {
+		src = src[:i]
+	}
+	if len(src) > 200 {
+		src = src[:200] + "..."
+	}
+	return src, true
 }
 
 // dedupEnvs removes exact duplicate environments.
@@ -768,25 +889,42 @@ func envKey(env match.Env) string {
 // substitute replaces metavariable references in plus-line text with their
 // bound values in a single pass, so substituted values are never themselves
 // rewritten (e.g. an expression-list value containing variable names that
-// collide with other metavariables).
+// collide with other metavariables). A reference is a whole identifier word
+// — a maximal run of [0-9A-Za-z_] — naming an unqualified binding;
+// rule-qualified names ("r.x") never match a word.
 func substitute(text string, env match.Env) string {
-	names := make([]string, 0, len(env))
-	for n := range env {
-		if strings.Contains(n, ".") {
-			continue
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
+	if len(env) == 0 {
 		return text
 	}
-	sort.Slice(names, func(i, j int) bool { return len(names[i]) > len(names[j]) })
-	quoted := make([]string, len(names))
-	for i, n := range names {
-		quoted[i] = regexp.QuoteMeta(n)
+	var sb strings.Builder
+	last := 0
+	for i := 0; i < len(text); {
+		if !isWordByte(text[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(text) && isWordByte(text[j]) {
+			j++
+		}
+		if b, ok := env[text[i:j]]; ok {
+			if last == 0 {
+				sb.Grow(len(text) + len(b.Text))
+			}
+			sb.WriteString(text[last:i])
+			sb.WriteString(b.Text)
+			last = j
+		}
+		i = j
 	}
-	re := regexp.MustCompile(`\b(` + strings.Join(quoted, "|") + `)\b`)
-	return re.ReplaceAllStringFunc(text, func(name string) string {
-		return env[name].Text
-	})
+	if last == 0 {
+		return text
+	}
+	sb.WriteString(text[last:])
+	return sb.String()
+}
+
+// isWordByte reports whether c is an ASCII identifier character.
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }

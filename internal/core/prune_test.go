@@ -203,3 +203,41 @@ identifier F;
 		})
 	}
 }
+
+// A transformed text that does not parse is reported by the parse error's
+// position and the offending line, never by the whole text: the message
+// reaches stderr, FileResult.Err and the serve JSON stream.
+func TestReparseErrorNamesLineNotFile(t *testing.T) {
+	const patch = `@broken@
+@@
+- foo();
++ foo(;
+
+@later@
+@@
+- bar();
++ baz();
+`
+	p, err := smpl.ParsePatch("t.cocci", patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("void f(void)\n{\n\tfoo();\n\tbar();\n}\n")
+	for i := 0; i < 50; i++ {
+		sb.WriteString("int filler_unique_line_marker_" + strings.Repeat("x", i) + ";\n")
+	}
+	_, err = New(p, Options{}).Run([]SourceFile{{Name: "t.c", Src: sb.String()}})
+	if err == nil {
+		t.Fatal("the later rule must force a reparse of the broken text and fail")
+	}
+	msg := err.Error()
+	for _, want := range []string{"reparsing t.c after transformation: t.c:3:", "line 3: \tfoo(;"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "filler_unique_line_marker") || strings.Contains(msg, "bar();") {
+		t.Errorf("error embeds the transformed file:\n%s", msg)
+	}
+}

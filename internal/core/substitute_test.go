@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -61,6 +64,63 @@ func TestSubstituteQualifiedNamesExcluded(t *testing.T) {
 func TestSubstituteEmptyEnv(t *testing.T) {
 	if got := substitute("unchanged text", match.Env{}); got != "unchanged text" {
 		t.Errorf("got %q", got)
+	}
+}
+
+// substituteRef is the regexp formulation substitute replaced: one
+// alternation of every unqualified metavariable name, longest first, between
+// word boundaries. It compiled a regexp per match; it stays here as the
+// reference the word scan must equal.
+func substituteRef(text string, env match.Env) string {
+	names := make([]string, 0, len(env))
+	for n := range env {
+		if strings.Contains(n, ".") {
+			continue
+		}
+		names = append(names, n)
+	}
+	if len(names) == 0 {
+		return text
+	}
+	sort.Slice(names, func(i, j int) bool { return len(names[i]) > len(names[j]) })
+	quoted := make([]string, len(names))
+	for i, n := range names {
+		quoted[i] = regexp.QuoteMeta(n)
+	}
+	re := regexp.MustCompile(`\b(` + strings.Join(quoted, "|") + `)\b`)
+	return re.ReplaceAllStringFunc(text, func(name string) string {
+		return env[name].Text
+	})
+}
+
+// TestSubstituteMatchesRegexpReference checks the word scan against the
+// regexp reference on random plus-line texts and environments: names are
+// identifiers (some prefixes or extensions of each other, some
+// rule-qualified), texts mix those names with other words, digits,
+// punctuation, whitespace and non-ASCII bytes, and values may contain names.
+func TestSubstituteMatchesRegexpReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"x", "x1", "x_", "_x", "xx", "el", "E", "e", "f512", "f", "k", "T", "S1", "r.x", "r.el", "0", "9x", "é"}
+	seps := []string{"", " ", "(", ")", ",", "\n\t", ".", "->", "::", "#", "\"", "-", "é", "\x00"}
+	for iter := 0; iter < 5000; iter++ {
+		env := match.Env{}
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			name := words[rng.Intn(len(words)-3)]
+			val := ""
+			for j, m := 0, rng.Intn(3); j < m; j++ {
+				val += words[rng.Intn(len(words))] + seps[rng.Intn(len(seps))]
+			}
+			env[name] = match.NewValueBinding(cast.MetaExprKind, val)
+		}
+		var sb strings.Builder
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			sb.WriteString(seps[rng.Intn(len(seps))])
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		text := sb.String()
+		if got, want := substitute(text, env), substituteRef(text, env); got != want {
+			t.Fatalf("substitute(%q, %v) = %q, reference gives %q", text, env, got, want)
+		}
 	}
 }
 

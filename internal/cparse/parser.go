@@ -9,7 +9,6 @@ package cparse
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cast"
 	"repro/internal/ctoken"
@@ -43,29 +42,22 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("%s:%s: %s", e.File, e.Pos, e.Msg)
 }
 
-// parses counts full (non-pattern) translation-unit parses, the dominant
-// cost on corpus-scale runs. Tests use the counter to assert parse-sharing:
-// campaign mode must parse each unchanged file at most once however many
-// patches it applies, and cached runs must not parse at all.
-var parses atomic.Int64
-
-// Parses returns the number of translation-unit parses performed so far by
-// this process (SmPL pattern-fragment parses are not counted).
-func Parses() int64 { return parses.Load() }
-
 // Parse lexes and parses a translation unit.
 func Parse(name, src string, opts Options) (*cast.File, error) {
-	if !opts.pattern() {
-		parses.Add(1)
-	}
-	lf, err := ctoken.Lex(name, src, ctoken.Options{
-		SmPL:         opts.pattern(),
-		CUDAChevrons: opts.CUDA || strings.Contains(src, "<<<"),
-	})
+	lf, err := ctoken.Lex(name, src, lexOptions(src, opts))
 	if err != nil {
 		return nil, err
 	}
 	return ParseTokens(lf, opts)
+}
+
+// lexOptions returns the lexer options Parse uses for src: CUDA chevrons
+// are on in the CUDA dialect and in any text that contains "<<<".
+func lexOptions(src string, opts Options) ctoken.Options {
+	return ctoken.Options{
+		SmPL:         opts.pattern(),
+		CUDAChevrons: opts.CUDA || strings.Contains(src, "<<<"),
+	}
 }
 
 // ParseTokens parses an already-lexed file.

@@ -9,7 +9,6 @@ import (
 	sempatch "repro"
 	"repro/internal/accomp"
 	"repro/internal/codegen"
-	"repro/internal/cparse"
 	"repro/internal/hipify"
 )
 
@@ -181,10 +180,9 @@ func TestHipifyWarmSweep(t *testing.T) {
 
 	sweep() // cold: prime the cache
 
-	before := cparse.Parses()
 	st := sweep() // warm repeat: identical corpus
-	if parsed := cparse.Parses() - before; parsed != 0 {
-		t.Errorf("warm repeat sweep parsed %d files, want 0", parsed)
+	if st.Parses != 0 || st.Rebinds != 0 {
+		t.Errorf("warm repeat sweep made %d full parses and %d rebinds, want none", st.Parses, st.Rebinds)
 	}
 	for _, ps := range st.PerPatch {
 		if ps.Cached != len(paths) {

@@ -144,9 +144,9 @@ func runCampaign(s Spec, paths []string) int {
 		fmt.Fprintf(os.Stderr, "%s: warning: %d corrupt cache entries at %s were dropped and rebuilt\n", s.Tool, cs.CorruptEntries, cs.Dir)
 	}
 	if s.Stats {
-		fmt.Fprintf(os.Stderr, "%s: campaign %s v%s: %d files, %d changed, %d errors, parsed: %d in %v\n",
+		fmt.Fprintf(os.Stderr, "%s: campaign %s v%s: %d files, %d changed, %d errors, parsed: %d, %d full parses, %d rebinds in %v\n",
 			s.Tool, s.Campaign.Name, s.Campaign.Version, st.Files, st.Changed, st.Errors,
-			st.Parsed, elapsed.Round(time.Millisecond))
+			st.Parsed, st.Parses, st.Rebinds, elapsed.Round(time.Millisecond))
 		for _, ps := range st.PerPatch {
 			fmt.Fprintf(os.Stderr, "%s:   patch %s: %d skipped by prefilter, %d cached, %d matched (%d matches), %d changed, %d functions matched, %d functions cached, %d demoted, %d warnings\n",
 				s.Tool, ps.Patch, ps.Skipped, ps.Cached, ps.Matched, ps.Matches, ps.Changed,

@@ -30,7 +30,7 @@ const (
 	StageRead       = "read"        // reading source bytes
 	StageHash       = "hash"        // content hashing for cache keys
 	StagePrefilter  = "prefilter"   // required-atom scan + decision
-	StageParse      = "parse"       // C/C++ parsing (including engine reparses)
+	StageParse      = "parse"       // C/C++ parsing (including engine reparses and rebinds)
 	StageSegment    = "segment"     // splitting a file into function segments
 	StageCFG        = "cfg"         // control-flow graph construction
 	StageMatch      = "match"       // rule matching (attributed per rule)
@@ -41,12 +41,15 @@ const (
 	StageCacheWrite = "cache-write" // result/function cache persists
 )
 
-// Outcome values recorded on prefilter, cache and match spans.
+// Outcome values recorded on prefilter, cache, match and parse spans. A
+// parse span without an outcome is a full parse.
 const (
-	OutcomeHit  = "hit"  // cache lookup replayed a stored result
-	OutcomeMiss = "miss" // cache lookup found nothing usable
-	OutcomeSkip = "skip" // prefilter proved no rule (on a match span: this rule) can fire
-	OutcomePass = "pass" // prefilter let the file through
+	OutcomeHit      = "hit"      // cache lookup replayed a stored result
+	OutcomeMiss     = "miss"     // cache lookup found nothing usable
+	OutcomeSkip     = "skip"     // prefilter proved no rule (on a match span: this rule) can fire
+	OutcomePass     = "pass"     // prefilter let the file through
+	OutcomeRebind   = "rebind"   // parse refreshed by rebinding the previous tree, no full parse
+	OutcomeDeclined = "declined" // a rebind was tried and declined, and no full parse followed
 )
 
 // Tracer collects one run's spans. Create per run with New; hand each worker
@@ -163,7 +166,9 @@ func (s Span) Rule(name string) Span {
 }
 
 // Outcome records a cache or prefilter decision (Outcome* constants); on a
-// match span, OutcomeSkip marks a rule the prefilter pruned.
+// match span, OutcomeSkip marks a rule the prefilter pruned, and on a parse
+// span, OutcomeRebind and OutcomeDeclined mark a parse refresh that made no
+// full parse.
 func (s Span) Outcome(o string) Span {
 	if s.tk != nil {
 		s.tk.spans[s.idx].outcome = o

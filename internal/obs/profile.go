@@ -44,6 +44,9 @@ type Profile struct {
 	// carrying a Func name is a segment decision).
 	PrefilterSkips, PrefilterPasses         int
 	FuncPrefilterSkips, FuncPrefilterPasses int
+	// Parses counts full parses (parse spans without an outcome) and
+	// Rebinds the parse refreshes that rebound the previous tree instead.
+	Parses, Rebinds int
 	// Findings counts check-rule reports emitted during the trace (the sum
 	// of "check" span match counters), with a per-rule breakdown.
 	Findings       int
@@ -144,6 +147,13 @@ func (t *Tracer) Profile() *Profile {
 				case sp.outcome == OutcomePass:
 					p.PrefilterPasses++
 				}
+			case StageParse:
+				switch sp.outcome {
+				case "":
+					p.Parses++
+				case OutcomeRebind:
+					p.Rebinds++
+				}
 			case StageCheck:
 				p.Findings += sp.matches
 				if sp.rule != "" && sp.matches > 0 {
@@ -190,8 +200,8 @@ func (p *Profile) StageSeconds() map[string]float64 {
 }
 
 // Format renders the aggregate table `gocci --profile` prints: self-time per
-// stage, per-rule prune/fire/time, the cache hit breakdown, and prefilter
-// skip savings.
+// stage, per-rule prune/fire/time, full parses vs rebinds, the cache hit
+// breakdown, and prefilter skip savings.
 func (p *Profile) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "wall %s over %d spans\n", round(p.Wall), p.Spans)
@@ -239,6 +249,9 @@ func (p *Profile) Format() string {
 			sb.WriteString(")")
 		}
 		sb.WriteString("\n")
+	}
+	if p.Parses+p.Rebinds > 0 {
+		fmt.Fprintf(&sb, "parse: %d full, %d rebound\n", p.Parses, p.Rebinds)
 	}
 	if n := p.FileCacheHits + p.FileCacheMisses; n > 0 {
 		fmt.Fprintf(&sb, "file cache: %d hits / %d lookups\n", p.FileCacheHits, n)

@@ -269,6 +269,8 @@ type RunSummary struct {
 	FuncsCached  int            `json:"functions_cached"`
 	Parsed       int            `json:"parsed"`
 	Read         int            `json:"read"`
+	Parses       int            `json:"parses"`
+	Rebinds      int            `json:"rebinds"`
 	Demoted      int            `json:"demoted,omitempty"`
 	Warnings     int            `json:"warnings,omitempty"`
 	ElapsedMS    int64          `json:"elapsed_ms"`
@@ -387,6 +389,8 @@ func (srv *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		FuncsCached:  stats.FuncsCached,
 		Parsed:       stats.Parsed,
 		Read:         stats.Read,
+		Parses:       stats.Parses,
+		Rebinds:      stats.Rebinds,
 		Demoted:      stats.Demoted,
 		Warnings:     stats.Warnings,
 		ElapsedMS:    time.Since(start).Milliseconds(),

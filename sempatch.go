@@ -174,6 +174,10 @@ type Result struct {
 	// Findings are the check-rule reports (match-only star rules and
 	// gocci:check rules; empty for pure transform patches).
 	Findings []Finding
+	// Parses counts the run's full parses, inputs and re-parses after edits;
+	// Rebinds counts the re-parses it replaced by rebinding the previous
+	// tree to edits that keep every token's kind (identifier renames).
+	Parses, Rebinds int
 }
 
 // Changed lists files whose output differs from the input.
@@ -325,6 +329,8 @@ func (a *Applier) Apply(files ...File) (*Result, error) {
 		MatchCount:    res.MatchCount,
 		EnvsTruncated: res.EnvsTruncated,
 		Findings:      res.Findings,
+		Parses:        res.Parses,
+		Rebinds:       res.Rebinds,
 	}, nil
 }
 
@@ -404,6 +410,10 @@ type BatchStats struct {
 	Findings int
 	// Parsed counts files this run actually parsed (vs skipped/replayed).
 	Parsed int
+	// Parses counts the run's full parses, re-parses after edits included;
+	// Rebinds counts the re-parses it replaced by rebinding the previous
+	// tree to edits that keep every token's kind (identifier renames).
+	Parses, Rebinds int
 }
 
 // BatchApplier applies one patch across many files concurrently with a
@@ -548,6 +558,8 @@ func publicStats(st batch.Stats) BatchStats {
 		Warnings:     st.Warnings,
 		Findings:     st.Findings,
 		Parsed:       st.Parsed,
+		Parses:       st.Parses,
+		Rebinds:      st.Rebinds,
 	}
 }
 
@@ -638,11 +650,16 @@ type PatchStats struct {
 
 // CampaignStats aggregates a completed campaign run.
 type CampaignStats struct {
-	Files    int // files processed
-	Changed  int // files whose final output differs from the input
-	Errors   int // files that failed
-	Parsed   int // files the sweep actually parsed (vs replayed/skipped)
-	PerPatch []PatchStats
+	Files   int // files processed
+	Changed int // files whose final output differs from the input
+	Errors  int // files that failed
+	Parsed  int // files the sweep actually parsed (vs replayed/skipped)
+	// Parses counts the sweep's full parses: inputs, re-parses between
+	// members and re-parses after edits. Rebinds counts the re-parses it
+	// replaced by rebinding the previous tree to edits that keep every
+	// token's kind (identifier renames).
+	Parses, Rebinds int
+	PerPatch        []PatchStats
 }
 
 // Campaign applies an ordered collection of patches across many files in
@@ -753,7 +770,8 @@ func publicCampaignResult(fr batch.CampaignFileResult) CampaignFileResult {
 }
 
 func publicCampaignStats(st batch.CampaignStats) CampaignStats {
-	out := CampaignStats{Files: st.Files, Changed: st.Changed, Errors: st.Errors, Parsed: st.Parsed}
+	out := CampaignStats{Files: st.Files, Changed: st.Changed, Errors: st.Errors, Parsed: st.Parsed,
+		Parses: st.Parses, Rebinds: st.Rebinds}
 	for _, ps := range st.PerPatch {
 		out.PerPatch = append(out.PerPatch, PatchStats{
 			Patch:        ps.Patch,

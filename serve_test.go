@@ -2,7 +2,7 @@ package sempatch
 
 // Public-API and acceptance tests for the resident serving daemon: a warm
 // sweep after editing k of N corpus files must parse exactly k files
-// (pinned via cparse.Parses(), like TestCampaignParsesOnce), and its
+// (pinned via the sweep's parse count, like TestCampaignParsesOnce), and its
 // outputs must be byte-identical to a cold batch run over the same tree.
 
 import (
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/codegen"
-	"repro/internal/cparse"
 	"repro/internal/serve"
 )
 
@@ -153,10 +152,9 @@ func TestServeParity(t *testing.T) {
 		}
 	}
 
-	before := cparse.Parses()
 	edited, sum := sweep(t, runURL+"?output=1")
-	if got := cparse.Parses() - before; got != k {
-		t.Errorf("warm sweep after editing %d files parsed %d files, want exactly %d", k, got, k)
+	if got := sum.Parses; got != k {
+		t.Errorf("warm sweep after editing %d files made %d full parses, want exactly %d", k, got, k)
 	}
 	if sum.Parsed != k {
 		t.Errorf("summary reports parsed=%d, want %d", sum.Parsed, k)
